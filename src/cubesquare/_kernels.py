@@ -1,34 +1,39 @@
-"""Hot kernels for the exhaustive cube-plus-square scans over F_q.
+"""Hot kernel for the exhaustive cube-plus-square scans over F_q.
 
-The scan enumerates all q^(d+1) candidate forms f of degree d, computes
-C = F - f^3 coefficientwise mod q and tests C for perfect squareness by the
-leading-coefficient recurrence.  Degree-12 scans (d = 4) touch q^5 candidates
-and dominate the package's runtime, so the inner loop is JIT-compiled with
-numba; a pure-numpy fallback implements the identical arithmetic and is
-selected by setting the environment variable CUBESQUARE_NO_NUMBA (or
-automatically when numba is unavailable).  Both paths are deterministic and
-return identical, canonically sorted results; benchmarks/bench_decompose.py
-compares them.
+``decompose_scan`` finds every f of degree d for which C = F - f^3 is a
+perfect square.  The candidates are the q^(d+1) coefficient vectors f, with
+index f0 + f1 q + ... + fd q^d (f0 the leading coefficient).  The scan does
+not test them all: it eliminates the last coefficient fd.
+
+Take descending coefficients and write g^2 = C, gdeg = 3d/2, k = gdeg + 1.
+When C0 = F0 - f0^3 is a nonzero square, the leading-coefficient recurrence
+fixes g0..g_gdeg from C0..C_gdeg, and the first coefficient it does not use
+must then satisfy
+
+    R(t) = C_k - (g1 g_{k-1} + g2 g_{k-2} + ... + g_{k-1} g1) = 0,  t = fd.
+
+For d >= 4, R is affine in t: t^2 first appears in f^3 at coefficient
+2d > k, and the g_i that involve t (i >= d) never pair up to index k.  For
+d = 2 it is quadratic.  One vectorised pass over the q^d prefixes
+f0..f_{d-1} evaluates R at t = 0, 1 (and 2 when d = 2) and interpolates it,
+so each prefix yields 0, 1 or 2 values of fd.  All q values pass on from
+a prefix on which R vanishes identically, and from the degenerate slice
+C0 = 0 (f0^3 = F0, at most three values of f0), where the recurrence would
+start lower.  A nonzero non-square C0 passes none on.
+
+The elimination only prunes.  Every surviving candidate goes through the
+full perfect-square test on all 3d + 1 coefficients of C, the test the
+plain-Python ``_scan_python_reference`` applies to every candidate; the
+tests compare the two.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_MAX_HITS = 8192
-
-USE_NUMBA = not os.environ.get("CUBESQUARE_NO_NUMBA")
-if USE_NUMBA:
-    try:
-        import numba
-    except ImportError:  # pragma: no cover - mirror-less environments
-        USE_NUMBA = False
 
 
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"
 
 
 def sqrt_table(q: int) -> np.ndarray:
@@ -39,6 +44,14 @@ def sqrt_table(q: int) -> np.ndarray:
         c = min(r, q - r) if r else 0
         if table[s] < 0 or c < table[s]:
             table[s] = c
+    return table
+
+
+def _inverse_table(q: int) -> np.ndarray:
+    """table[x] = x^-1 mod q for x != 0; table[0] = 0."""
+    table = np.zeros(q, dtype=np.int64)
+    for x in range(1, q):
+        table[x] = pow(x, -1, q)
     return table
 
 
@@ -99,138 +112,107 @@ def _square_root_desc(C, q, gdeg, table):
     return gam
 
 
-if USE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _scan_njit(q, F, d, lo, hi, table, out_f, out_g):  # pragma: no cover
-        nf = d + 1
-        nF = 3 * d + 1
-        gdeg = (3 * d) // 2
-        c = np.empty(nf, dtype=np.int64)
-        s = np.empty(2 * d + 1, dtype=np.int64)
-        cube = np.empty(nF, dtype=np.int64)
-        gam = np.empty(gdeg + 1, dtype=np.int64)
-        count = 0
-        for idx in range(lo, hi):
-            t = idx
-            for k in range(nf):
-                c[k] = t % q
-                t //= q
-            for m in range(2 * d + 1):
-                s[m] = 0
-            for u in range(nf):
-                for v in range(nf):
-                    s[u + v] += c[u] * c[v]
-            for m in range(2 * d + 1):
-                s[m] %= q
-            for m in range(nF):
-                cube[m] = 0
-            for u in range(2 * d + 1):
-                for v in range(nf):
-                    cube[u + v] += s[u] * c[v]
-            # C = F - cube, reduced
-            for m in range(nF):
-                cube[m] = (F[m] - cube[m]) % q
-            # perfect-square test of the descending list `cube`
-            j = 0
-            while j < nF and cube[j] == 0:
-                j += 1
-            ok = True
-            if j == nF:
-                for i in range(gdeg + 1):
-                    gam[i] = 0
-            elif j % 2 == 1:
-                ok = False
-            else:
-                h = j // 2
-                r = table[cube[j]]
-                if r < 0:
-                    ok = False
-                else:
-                    for i in range(gdeg + 1):
-                        gam[i] = 0
-                    gam[h] = r
-                    # modular inverse of 2r by Fermat
-                    base = (2 * r) % q
-                    e = q - 2
-                    inv = 1
-                    while e:
-                        if e & 1:
-                            inv = inv * base % q
-                        base = base * base % q
-                        e >>= 1
-                    for i in range(h + 1, gdeg + 1):
-                        m = i + h
-                        acc = cube[m]
-                        for u in range(h + 1, i):
-                            acc -= gam[u] * gam[m - u]
-                        gam[i] = acc % q * inv % q
-                    for m in range(nF):
-                        conv = 0
-                        u0 = m - gdeg
-                        if u0 < 0:
-                            u0 = 0
-                        u1 = gdeg
-                        if m < gdeg:
-                            u1 = m
-                        for u in range(u0, u1 + 1):
-                            conv += gam[u] * gam[m - u]
-                        if conv % q != cube[m]:
-                            ok = False
-                            break
-            if ok:
-                if count >= out_f.shape[0]:
-                    return -1
-                for k in range(nf):
-                    out_f[count, k] = c[k]
-                for k in range(gdeg + 1):
-                    out_g[count, k] = gam[k]
-                count += 1
-        return count
-
-
-def _modpow_vec(base: np.ndarray, e: int, q: int) -> np.ndarray:
-    out = np.ones_like(base)
-    b = base % q
-    while e:
-        if e & 1:
-            out = out * b % q
-        b = b * b % q
-        e >>= 1
+def _digits(idx: np.ndarray, q: int, n: int) -> list:
+    """The n base-q digits of each index, lowest first."""
+    out = []
+    t = idx.copy()
+    for _ in range(n):
+        out.append(t % q)
+        t //= q
     return out
 
 
-def _scan_numpy(q, F, d, lo, hi, table):
-    nf, nF, gdeg = d + 1, 3 * d + 1, 3 * d // 2
-    idx = np.arange(lo, hi, dtype=np.int64)
-    total = idx.shape[0]
-    c = []
-    t = idx.copy()
-    for _ in range(nf):
-        c.append(t % q)
-        t //= q
+def _residual_columns(q: int, F: np.ndarray, c: list, n: int) -> list:
+    """C[m] = F[m] - (f^3)[m] mod q for m < n; c holds the digit columns of f."""
+    d = len(c) - 1
     s = []
-    for m in range(2 * d + 1):
-        acc = np.zeros(total, dtype=np.int64)
+    for m in range(min(n, 2 * d + 1)):
+        acc = np.zeros_like(c[0])
         for u in range(max(0, m - d), min(d, m) + 1):
             acc += c[u] * c[m - u]
         s.append(acc % q)
-    C = np.empty((total, nF), dtype=np.int64)
-    for m in range(nF):
-        acc = np.zeros(total, dtype=np.int64)
+    out = []
+    for m in range(n):
+        acc = np.zeros_like(c[0])
         for u in range(max(0, m - d), min(2 * d, m) + 1):
             acc += s[u] * c[m - u]
-        C[:, m] = (int(F[m]) - acc) % q
+        out.append((int(F[m]) - acc) % q)
+    return out
+
+
+def _prefix_residuals(q: int, F: np.ndarray, d: int, table, inv):
+    """C0 and the coefficients (a, b, c) of R(t) = a + b t + c t^2 for every
+    prefix f0..f_{d-1}, indexed f0 + f1 q + ... + f_{d-1} q^(d-1).
+
+    R is meaningful only where C0 is a nonzero square.
+    """
+    k = 3 * d // 2 + 1
+    c = _digits(np.arange(q**d, dtype=np.int64), q, d)
+    c0 = (int(F[0]) - c[0] * c[0] % q * c[0]) % q
+    g0 = table[c0]
+    inv2g0 = inv[2 * np.maximum(g0, 0) % q]
+    values = []
+    for t in range(3 if d == 2 else 2):
+        C = _residual_columns(q, F, c + [np.full_like(c0, t)], k + 1)
+        gam = [g0]
+        for i in range(1, k):
+            acc = C[i].copy()
+            for u in range(1, i):
+                acc -= gam[u] * gam[i - u]
+            gam.append(acc % q * inv2g0 % q)
+        acc = C[k].copy()
+        for u in range(1, k):
+            acc -= gam[u] * gam[k - u]
+        values.append(acc % q)
+    r0, r1 = values[:2]
+    cc = np.zeros_like(r0)
+    if d == 2:
+        cc = (values[2] - 2 * r1 + r0) % q * ((q + 1) // 2) % q
+    b = (r1 - r0 - cc) % q
+    return c0, r0, b, cc
+
+
+def _candidates(q: int, F: np.ndarray, d: int, table, inv) -> np.ndarray:
+    """Indices of the candidates f that survive the elimination of fd."""
+    c0, a, b, c = _prefix_residuals(q, F, d, table, inv)
+    prefix = np.arange(q**d, dtype=np.int64)
+    square = (c0 != 0) & (table[c0] >= 0)
+    every = (c0 == 0) | (square & (a == 0) & (b == 0) & (c == 0))
+
+    r = table[(b * b - 4 * a % q * c) % q]
+    quad = square & (c != 0) & (r >= 0)
+    two = quad & (r != 0)
+    inv2c = inv[2 * c % q]
+    root1 = (r - b) % q * inv2c % q
+    root2 = (-r - b) % q * inv2c % q
+
+    lin = square & (c == 0) & (b != 0)
+    root_lin = -a % q * inv[b] % q
+
+    step = q**d
+    parts = [
+        (prefix[every, None] + step * np.arange(q, dtype=np.int64)).ravel(),
+        prefix[quad] + step * root1[quad],
+        prefix[two] + step * root2[two],
+        prefix[lin] + step * root_lin[lin],
+    ]
+    return np.concatenate(parts)
+
+
+def _verify(q: int, F: np.ndarray, d: int, idx: np.ndarray, table, inv):
+    """Full perfect-square test of F - f^3 for the candidates with these indices."""
+    nf, nF, gdeg = d + 1, 3 * d + 1, 3 * d // 2
+    c = _digits(idx, q, nf)
+    C = np.stack(_residual_columns(q, F, c, nF), axis=1)
     nz = C != 0
     first = np.where(nz.any(axis=1), nz.argmax(axis=1), nF)
     fmat = np.stack(c, axis=1)
-    hits_f, hits_g, hit_rows = [], [], []
+    hits_f, hits_g = [], []
 
     rows0 = np.nonzero(first == nF)[0]
     if rows0.size:
         hits_f.append(fmat[rows0])
         hits_g.append(np.zeros((rows0.size, gdeg + 1), dtype=np.int64))
-        hit_rows.append(rows0)
 
     for j in range(0, nF, 2):
         rows = np.nonzero(first == j)[0]
@@ -247,7 +229,7 @@ def _scan_numpy(q, F, d, lo, hi, table):
             continue
         gam = np.zeros((rows.size, gdeg + 1), dtype=np.int64)
         gam[:, h] = r0
-        inv2r = _modpow_vec(2 * r0 % q, q - 2, q)
+        inv2r = inv[2 * r0 % q]
         for i in range(h + 1, gdeg + 1):
             m = i + h
             acc = Cr[:, m].copy()
@@ -260,19 +242,17 @@ def _scan_numpy(q, F, d, lo, hi, table):
             for u in range(max(0, m - gdeg), min(gdeg, m) + 1):
                 conv += gam[:, u] * gam[:, m - u]
             ok &= conv % q == Cr[:, m]
-        rows, gam = rows[ok], gam[ok]
-        if rows.size:
-            hits_f.append(fmat[rows])
-            hits_g.append(gam)
-            hit_rows.append(rows)
+        if ok.any():
+            hits_f.append(fmat[rows[ok]])
+            hits_g.append(gam[ok])
     out = []
-    for rows, fs, gs in zip(hit_rows, hits_f, hits_g):
-        for r in range(rows.size):
+    for fs, gs in zip(hits_f, hits_g):
+        for r in range(fs.shape[0]):
             out.append((tuple(int(x) for x in fs[r]), tuple(int(x) for x in gs[r])))
     return out
 
 
-_NUMPY_CHUNK = 1 << 19
+_CHUNK = 1 << 19
 
 
 def decompose_scan(q: int, F_desc, d: int, lo: int = 0, hi: int | None = None):
@@ -281,12 +261,13 @@ def decompose_scan(q: int, F_desc, d: int, lo: int = 0, hi: int | None = None):
     ``F_desc`` is the descending coefficient list of a degree-3d form; f and g
     come back as descending coefficient tuples (degrees d and 3d/2), with g
     the canonical square root (its leading value is the smaller residue).
-    The companion pair (f, -g) is implied.  Results are sorted.
+    The companion pair (f, -g) is implied.  Only pairs whose index
+    f0 + f1 q + ... + fd q^d lies in [lo, hi) are returned; every call makes
+    the full q^d prefix pass.  Results are sorted.
     """
-    if d % 2:
-        raise ValueError("coefficient degree must be even")
-    nf = d + 1
-    total = q**nf
+    if d < 2 or d % 2:
+        raise ValueError("coefficient degree must be even and at least 2")
+    total = q ** (d + 1)
     if hi is None:
         hi = total
     if not 0 <= lo <= hi <= total:
@@ -294,22 +275,11 @@ def decompose_scan(q: int, F_desc, d: int, lo: int = 0, hi: int | None = None):
     F = np.asarray([int(x) % q for x in F_desc], dtype=np.int64)
     if F.shape[0] != 3 * d + 1:
         raise ValueError("target form has the wrong degree")
-    table = sqrt_table(q)
-    if USE_NUMBA:
-        out_f = np.empty((_MAX_HITS, nf), dtype=np.int64)
-        out_g = np.empty((_MAX_HITS, 3 * d // 2 + 1), dtype=np.int64)
-        n = _scan_njit(q, F, d, lo, hi, table, out_f, out_g)
-        if n < 0:
-            raise RuntimeError("scan hit buffer overflow; not a squarefree target?")
-        pairs = [
-            (tuple(int(x) for x in out_f[i]), tuple(int(x) for x in out_g[i]))
-            for i in range(n)
-        ]
-    else:
-        pairs = []
-        for start in range(lo, hi, _NUMPY_CHUNK):
-            pairs.extend(
-                _scan_numpy(q, F, d, start, min(start + _NUMPY_CHUNK, hi), table)
-            )
+    table, inv = sqrt_table(q), _inverse_table(q)
+    idx = _candidates(q, F, d, table, inv)
+    idx = idx[(idx >= lo) & (idx < hi)]
+    pairs = []
+    for start in range(0, idx.size, _CHUNK):
+        pairs.extend(_verify(q, F, d, idx[start : start + _CHUNK], table, inv))
     pairs.sort()
     return pairs

@@ -4,7 +4,8 @@ Exit codes: 0 ok, 1 selftest/assertion failure, 2 malformed input.  Reports
 are pure functions of (argv, input documents): no clocks, no environment,
 stable key order.  The optional --jobs flag shards the exhaustive scans by
 candidate range; shard results are merged in canonical order, so the output
-is independent of the job count.
+is independent of the job count.  Each shard repeats the scan's q^d prefix
+pass, so jobs buy little; --jobs takes 1..MAX_JOBS.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ INPUT_ERRORS = (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+
+# Upper bound of --jobs, the number of worker processes z-search starts.  A
+# fixed constant, not the host's CPU count, so that whether a command line is
+# accepted does not depend on the machine.
+MAX_JOBS = 8
 
 
 def _load_json(path: str, where: str):
@@ -293,6 +299,8 @@ def _scan_shard(params):
 
 
 def cmd_z_search(args) -> int:
+    if not 1 <= args.jobs <= MAX_JOBS:
+        raise SchemaError(f"--jobs: need 1..{MAX_JOBS}, got {args.jobs}")
     doc = _load_json(args.infile, "z-search --F")
     form = jsonio.form_from_json(doc, "F")
     field = form.field
@@ -310,18 +318,17 @@ def cmd_z_search(args) -> int:
         raise SchemaError(f"F.field: degree-{form.degree} scan needs q <= {qmax}")
     if not binform.is_squarefree(form):
         raise SchemaError("F: not squarefree")
-    jobs = max(1, args.jobs)
-    total = field.p ** (d + 1)
     coeffs = [int(c) for c in form.coeffs]
-    if jobs == 1:
+    if args.jobs == 1:
         canonical = _kernels.decompose_scan(field.p, coeffs, d)
     else:
-        bounds = [total * i // jobs for i in range(jobs + 1)]
+        total = field.p ** (d + 1)
+        bounds = [total * i // args.jobs for i in range(args.jobs + 1)]
         shards = [
-            (field.p, coeffs, d, bounds[i], bounds[i + 1]) for i in range(jobs)
+            (field.p, coeffs, d, bounds[i], bounds[i + 1]) for i in range(args.jobs)
         ]
         canonical = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             for part in pool.map(_scan_shard, shards):
                 canonical.extend(part)
         canonical.sort()
@@ -561,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("z-search", help="exhaustive decomposition scan")
     p.add_argument("--F", dest="infile", required=True)
     p.add_argument("--q", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=f"worker processes, 1..{MAX_JOBS}")
     p.add_argument("--out")
 
     p = sub.add_parser("z-constants", help="documented constants registry")

@@ -242,14 +242,30 @@ class PrimeField:
 QQ = Rationals()
 
 
-def field_from_json(obj: dict):
-    """Decode {"kind": "Q"} or {"kind": "Fp", "p": ...}."""
+def field_from_json(obj: dict, where: str = "field"):
+    """Decode {"kind": "Q"} or {"kind": "Fp", "p": ...}; ``p`` is an integer
+    or a decimal string.  Malformed documents raise FieldError naming ``where``."""
+    if not isinstance(obj, dict):
+        raise FieldError(f"{where}: expected an object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "Q":
         return QQ
-    if kind == "Fp":
-        return PrimeField(int(obj["p"]))
-    raise FieldError(f"unknown field kind {kind!r}")
+    if kind != "Fp":
+        raise FieldError(f"{where}.kind: unknown field kind {kind!r}")
+    if "p" not in obj:
+        raise FieldError(f"{where}: missing field 'p'")
+    p = obj["p"]
+    if isinstance(p, str):
+        try:
+            p = int(p)
+        except ValueError:
+            raise FieldError(f"{where}.p: not a decimal integer: {obj['p']!r}") from None
+    elif isinstance(p, bool) or not isinstance(p, int):
+        raise FieldError(f"{where}.p: expected an integer, got {type(p).__name__}")
+    try:
+        return PrimeField(p)
+    except FieldError as exc:
+        raise FieldError(f"{where}.p: {exc}") from None
 
 
 def field_to_json(field) -> dict:

@@ -40,7 +40,7 @@ def form_to_json(f: BinForm) -> dict:
 
 def form_from_json(obj: dict, where: str = "form") -> BinForm:
     degree = _need(obj, "degree", where)
-    field = field_from_json(_need(obj, "field", where))
+    field = field_from_json(_need(obj, "field", where), f"{where}.field")
     raw = _need(obj, "coeffs", where)
     if not isinstance(raw, list) or len(raw) != degree + 1:
         raise SchemaError(f"{where}.coeffs: need {degree + 1} entries")

@@ -2,8 +2,10 @@
 
 Certificates pair a degree-12 form F with a decomposition F = f^3 + g^2;
 planting builds certificates, verification re-checks them exactly.  Over a
-small prime field the full fiber over F is computed by exhaustive scan
-(every f of degree <= 4, perfect-square test on F - f^3), and raw pairs are
+small prime field the full fiber over F is computed by an exhaustive scan
+over every f of degree <= 4 (``_kernels.decompose_scan``: the last
+coefficient of f is solved for, and each surviving candidate gets the full
+perfect-square test on F - f^3), and raw pairs are
 grouped into orbits of the torus action (f, g) -> (lam^2 f, lam^3 g) with
 lam^6 = 1.  The map (f, g) -> f^3 + g^2 is birational onto the locus
 modulo that action, so a generic planted degree-12 form has exactly one
@@ -165,7 +167,9 @@ def _scan(form: BinForm, d: int, lo=0, hi=None) -> list[DecompositionOrbit]:
 
 def exhaustive_decompose_fq(form: BinForm) -> list[DecompositionOrbit]:
     """All cube-plus-square decompositions of a squarefree degree-12 form
-    over F_q, q <= 13, as torus orbits (full q^5 scan)."""
+    over F_q, q <= 13, as torus orbits.  Exhaustive over all q^5 candidate
+    f; the scan enumerates the q^4 prefixes and solves for the last
+    coefficient (see ``_kernels``)."""
     if form.degree != 12:
         raise PolyError("need a degree-12 form")
     field = form.field

@@ -166,6 +166,30 @@ def test_z_search_validates_q_flag(tmp_path, capsys):
     assert code == 2
 
 
+def test_z_search_malformed_field_exits_2(tmp_path, capsys):
+    for field in ({"kind": "Fp", "p": "x"}, {"kind": "Fp"}, ["Fp", 7], {"kind": "Fp", "p": 7.0}):
+        F_doc = {"degree": 12, "field": field, "coeffs": ["1"] + ["0"] * 11 + ["1"]}
+        path = _write(tmp_path, "F.json", F_doc)
+        code, out = run_cli(capsys, "z-search", "--F", path)
+        assert code == 2, field
+        doc = json.loads(out)
+        assert doc["status"] == "error"
+        assert doc["error"]["message"].startswith("F.field")
+
+
+def test_z_search_rejects_jobs_outside_cap(tmp_path, capsys):
+    F_doc = {
+        "degree": 12,
+        "field": {"kind": "Fp", "p": 7},
+        "coeffs": ["1"] + ["0"] * 11 + ["1"],
+    }
+    path = _write(tmp_path, "F.json", F_doc)
+    for jobs in (0, cli.MAX_JOBS + 1):
+        code, out = run_cli(capsys, "z-search", "--F", path, "--jobs", str(jobs))
+        assert code == 2
+        assert "--jobs" in json.loads(out)["error"]["message"]
+
+
 def test_z_constants(capsys):
     code, out = run_cli(capsys, "z-constants")
     assert code == 0

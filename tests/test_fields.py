@@ -1,7 +1,7 @@
 import pytest
 from fractions import Fraction
 
-from cubesquare.fields import QQ, FieldError, PrimeField, is_prime
+from cubesquare.fields import QQ, FieldError, PrimeField, field_from_json, is_prime
 
 
 def test_primality_small():
@@ -22,6 +22,23 @@ def test_field_construction_guards():
     with pytest.raises(FieldError):
         PrimeField(2**62 + 1)
     assert PrimeField(5).p == 5
+
+
+def test_field_from_json_names_the_field():
+    assert field_from_json({"kind": "Fp", "p": "7"}) == PrimeField(7)
+    assert field_from_json({"kind": "Q"}) == QQ
+    bad = [
+        {"kind": "Fp", "p": "x"},
+        {"kind": "Fp"},
+        {"kind": "Fp", "p": None},
+        {"kind": "Fp", "p": True},
+        {"kind": "Fp", "p": 15},
+        {"kind": "F4"},
+        "Fp",
+    ]
+    for obj in bad:
+        with pytest.raises(FieldError, match=r"^F\.field"):
+            field_from_json(obj, "F.field")
 
 
 def test_rational_arithmetic_and_sqrt():

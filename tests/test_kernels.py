@@ -1,5 +1,6 @@
-"""Cross-checks of the scan backends: njit kernel, numpy fallback, plain
-Python reference, and the exact BinForm arithmetic path."""
+"""Cross-checks of the decomposition scan: the elimination kernel against the
+plain-Python reference, which tests every candidate, and against the exact
+BinForm arithmetic path."""
 
 import random
 
@@ -11,14 +12,32 @@ from cubesquare.binform import BinForm
 from cubesquare.fields import PrimeField
 
 
-def _random_target(q, d, rng):
+def _plant(q, d, rng, leading_g=None):
+    """A squarefree f^3 + g^2 over F_q; ``leading_g = 0`` puts (f, g) in the
+    degenerate slice C0 = F0 - f0^3 = 0."""
     field = PrimeField(q)
     while True:
-        f = BinForm(field, d, [rng.randrange(q) for _ in range(d + 1)])
-        g = BinForm(field, 3 * d // 2, [rng.randrange(q) for _ in range(3 * d // 2 + 1)])
-        form = f**3 + g * g
+        f = [rng.randrange(q) for _ in range(d + 1)]
+        g = [rng.randrange(q) for _ in range(3 * d // 2 + 1)]
+        if leading_g is not None:
+            g[0] = leading_g
+        form = BinForm(field, d, f) ** 3 + BinForm(field, 3 * d // 2, g) ** 2
         if not form.is_zero and binform.is_squarefree(form):
-            return field, form
+            return f, form
+
+
+def _random_target(q, d, rng):
+    f, form = _plant(q, d, rng)
+    return form.field, form
+
+
+def _reference(q, coeffs, d, lo=0, hi=None):
+    hi = q ** (d + 1) if hi is None else hi
+    return sorted(_kernels._scan_python_reference(q, coeffs, d, lo, hi))
+
+
+def _index(q, f_desc):
+    return sum(c * q**i for i, c in enumerate(f_desc))
 
 
 def test_sqrt_table():
@@ -34,16 +53,72 @@ def test_sqrt_table():
                 assert table[s] == -1
 
 
-@pytest.mark.parametrize("q,d", [(5, 2), (7, 2), (11, 2), (5, 4), (7, 4)])
+@pytest.mark.parametrize("q,d", [(5, 2), (7, 2), (11, 2), (13, 2), (5, 4), (7, 4)])
 def test_backends_agree_with_reference(q, d):
     rng = random.Random(q * 10 + d)
     field, form = _random_target(q, d, rng)
     coeffs = [int(c) for c in form.coeffs]
-    via_kernel = _kernels.decompose_scan(q, coeffs, d)
-    table = _kernels.sqrt_table(q)
-    via_reference = sorted(_kernels._scan_python_reference(q, coeffs, d, 0, q ** (d + 1)))
-    via_numpy = sorted(_kernels._scan_numpy(q, np.asarray(coeffs, dtype=np.int64), d, 0, q ** (d + 1), table))
-    assert via_kernel == via_reference == via_numpy
+    assert _kernels.decompose_scan(q, coeffs, d) == _reference(q, coeffs, d)
+
+
+@pytest.mark.parametrize("q,d", [(7, 4), (5, 4), (13, 2), (11, 2)])
+def test_degenerate_leading_slice_matches_reference(q, d):
+    # F0 = f0^3 is a cube with three cube roots when q = 1 (mod 3), with one
+    # when q = 2 (mod 3); the planted pair lies in the slice C0 = 0.
+    rng = random.Random(q * 100 + d)
+    f, form = _plant(q, d, rng, leading_g=0)
+    coeffs = [int(c) for c in form.coeffs]
+    assert f[0] and sum(pow(x, 3, q) == coeffs[0] for x in range(q)) == (3 if q % 3 == 1 else 1)
+    hits = _kernels.decompose_scan(q, coeffs, d)
+    assert hits == _reference(q, coeffs, d)
+    assert tuple(f) in {fr for fr, _ in hits}
+
+
+@pytest.mark.parametrize("q,d", [(5, 4), (7, 4), (13, 2)])
+def test_power_sum_target_matches_reference(q, d):
+    coeffs = [1] + [0] * (3 * d - 1) + [1]  # x^(3d) + y^(3d): many hits
+    hits = _kernels.decompose_scan(q, coeffs, d)
+    assert len(hits) > 1
+    assert hits == _reference(q, coeffs, d)
+
+
+@pytest.mark.parametrize(
+    "q,d,coeffs",
+    [
+        (7, 2, [4, 6, 5, 5, 5, 6, 5]),
+        (7, 4, [3, 5, 2, 1, 5, 6, 6, 5, 0, 1, 3, 5, 1]),
+    ],
+)
+def test_identically_vanishing_residual_matches_reference(q, d, coeffs):
+    # On some prefixes with a nonzero square C0 the constraint R(t) is the zero
+    # polynomial, so every value of the last coefficient goes to the full test.
+    table, inv = _kernels.sqrt_table(q), _kernels._inverse_table(q)
+    c0, a, b, c = _kernels._prefix_residuals(q, np.asarray(coeffs, dtype=np.int64), d, table, inv)
+    vanishing = (c0 != 0) & (table[c0] >= 0) & (a == 0) & (b == 0) & (c == 0)
+    assert vanishing.any()
+    assert _kernels.decompose_scan(q, coeffs, d) == _reference(q, coeffs, d)
+
+
+@pytest.mark.parametrize("q,d", [(11, 4), (13, 4), (101, 2)])
+@pytest.mark.parametrize("leading_g", [None, 0])
+def test_windows_match_reference(q, d, leading_g):
+    # Windows keep the reference fast.  One holds the planted pair; with
+    # leading_g = 0 that pair lies in the slice C0 = 0.
+    rng = random.Random(q + d + (leading_g is None))
+    f, form = _plant(q, d, rng, leading_g)
+    coeffs = [int(c) for c in form.coeffs]
+    total = q ** (d + 1)
+    at = _index(q, f)
+    for lo in (max(0, at - 1500), total // 2, total - 1500):
+        hi = min(total, lo + 3000)
+        assert _kernels.decompose_scan(q, coeffs, d, lo, hi) == _reference(q, coeffs, d, lo, hi)
+
+    def found(lo, hi):
+        return {fr for fr, _ in _kernels.decompose_scan(q, coeffs, d, lo, hi)}
+
+    assert tuple(f) in found(max(0, at - 1500), min(total, at + 1500))
+    assert tuple(f) in found(at, at + 1)
+    assert tuple(f) not in found(max(0, at - 1500), at) | found(at + 1, min(total, at + 1500))
 
 
 def test_sharded_scan_matches_full():
@@ -103,4 +178,4 @@ def test_canonical_g_is_smaller_residue():
 
 
 def test_backend_flag_reported():
-    assert _kernels.backend_name() in ("numba", "numpy")
+    assert _kernels.backend_name() == "numpy"
