@@ -163,11 +163,14 @@ class BinForm:
         return BinForm.homogenize(q, d)
 
 
-def _pow(F, a, n):
-    out = F.one()
-    for _ in range(n):
-        out = F.mul(out, a)
-    return out
+def pad(form: BinForm, degree: int) -> BinForm:
+    """Embed a form of degree <= d into the degree-d coefficient space, by
+    the power of y that keeps its affine chart F(x, 1)."""
+    if form.degree == degree:
+        return form
+    if form.degree > degree:
+        raise PolyError(f"form degree {form.degree} exceeds {degree}")
+    return BinForm.homogenize(form.dehomogenize(), degree)
 
 
 def gcd(f: BinForm, g: BinForm) -> BinForm:

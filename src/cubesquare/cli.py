@@ -2,10 +2,11 @@
 
 Exit codes: 0 ok, 1 selftest/assertion failure, 2 malformed input.  Reports
 are pure functions of (argv, input documents): no clocks, no environment,
-stable key order.  The optional --jobs flag shards the exhaustive scans by
-candidate range; shard results are merged in canonical order, so the output
-is independent of the job count.  Each shard repeats the scan's q^d prefix
-pass, so jobs buy little; --jobs takes 1..MAX_JOBS.
+stable key order.  The optional --jobs flag shards the exhaustive scan
+(``locusz.decompose_fq``, which selftest runs too) by candidate range; the
+orbits are grouped from the merged hits, so the output is independent of the
+job count.  Each shard repeats the scan's q^d prefix pass, so jobs buy
+little; --jobs takes 1..MAX_JOBS.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import binform, e8, families, fibration, jsonio, locusz, picard, recillas, selftest
-from . import _kernels
+from . import poly as upoly
 from .fibration import FibrationError
 from .fields import FieldError, PrimeField
 from .jsonio import SchemaError
@@ -102,7 +102,7 @@ def cmd_e8_report(args) -> int:
 
 
 def cmd_picard_solve(args) -> int:
-    doc = _load_json(args.infile, "picard-solve --in")
+    doc = jsonio._object(_load_json(args.infile, "picard-solve --in"), "input")
     gens = [
         jsonio.divclass_from_json(g, f"generators[{i}]")
         for i, g in enumerate(doc.get("generators", []))
@@ -111,7 +111,7 @@ def cmd_picard_solve(args) -> int:
         jsonio.constraint_from_json(c, f"constraints[{i}]")
         for i, c in enumerate(doc.get("constraints", []))
     ]
-    box = int(doc.get("box", 20))
+    box = jsonio._count(doc, "box", "input", default=20)
     try:
         sols = picard.solve_class(gens, cons, box=box)
         payload = {"solutions": [list(s) for s in sols], "box": box}
@@ -148,21 +148,19 @@ def cmd_picard_report(args) -> int:
 def cmd_fibration_info(args) -> int:
     doc = _load_json(args.infile, "fibration-info --in")
     w = jsonio.model_from_json(doc)
-    report, delta = fibration.fibration_report(w)
-    report["delta"] = jsonio.form_to_json(delta)
+    report = fibration.fibration_report(w)
+    report["delta"] = jsonio.form_to_json(w.delta)
     point = families.to_b_point(w.a, w.b)
     report["decomposition_point"] = {
         "weierstrass": jsonio.bpoint_to_json(point),
         "monic": jsonio.bpoint_to_json(point.convert("monic")),
-        "valid": point.is_valid(),
+        # The Weierstrass point's degree-12 form is 4 a^3 + 27 b^2 = delta.
+        "valid": w.nodal,
     }
     if isinstance(w.field, PrimeField):
-        from . import poly as upoly
-
-        aff = delta.dehomogenize()
-        report["distinct_nodal_roots_fp"] = upoly.distinct_root_count_fp(aff) + (
-            1 if delta.y_multiplicity() > 0 else 0
-        )
+        report["distinct_nodal_roots_fp"] = upoly.distinct_root_count_fp(
+            w.delta.dehomogenize()
+        ) + (1 if w.delta.y_multiplicity() > 0 else 0)
     _emit(jsonio.make_report("fibration-info", report, [doc]), args.out)
     return EXIT_OK
 
@@ -170,14 +168,11 @@ def cmd_fibration_info(args) -> int:
 def cmd_fibration_halving(args) -> int:
     doc = _load_json(args.infile, "fibration-halving --in")
     w = jsonio.model_from_json(jsonio._need(doc, "model", "input"))
-    s = jsonio.section_from_json(jsonio._need(doc, "section", "input"))
-    if not fibration.verify_section(w, s):
-        raise SchemaError("section: does not lie on the model")
+    s = jsonio.section_from_json(jsonio._need(doc, "section", "input"), model=w)
     fam = fibration.halving_quartic(w, s)
     delta24 = families.delta12_quartic(fam)
-    delta = w.discriminant_locus()
     try:
-        quotient = delta24.divexact(delta)
+        quotient = delta24.divexact(w.delta)
         extraneous = jsonio.form_to_json(quotient)
         divisible = True
         root = binform.perfect_square_root(quotient)
@@ -192,9 +187,7 @@ def cmd_fibration_halving(args) -> int:
         "divisible_by_model_discriminant": divisible,
         "extraneous_factor": extraneous,
         "extraneous_factor_square_root": extraneous_root,
-        "section_height": fibration.height_pairing(w, s, s)
-        if fibration.is_nodal_twelve(w)
-        else None,
+        "section_height": fibration.height_pairing(w, s, s) if w.nodal else None,
     }
     _emit(jsonio.make_report("fibration-halving", payload, [doc]), args.out)
     return EXIT_OK
@@ -293,52 +286,16 @@ def cmd_z_plant(args) -> int:
     return EXIT_OK
 
 
-def _scan_shard(params):
-    q, coeffs, d, lo, hi = params
-    return _kernels.decompose_scan(q, coeffs, d, lo, hi)
-
-
 def cmd_z_search(args) -> int:
     if not 1 <= args.jobs <= MAX_JOBS:
         raise SchemaError(f"--jobs: need 1..{MAX_JOBS}, got {args.jobs}")
     doc = _load_json(args.infile, "z-search --F")
     form = jsonio.form_from_json(doc, "F")
-    field = form.field
-    if not isinstance(field, PrimeField):
-        raise SchemaError("F.field: exhaustive search needs a prime field")
-    if args.q and args.q != field.p:
-        raise SchemaError(f"--q {args.q} disagrees with the form's field F_{field.p}")
-    if form.degree == 12:
-        d, qmax = 4, locusz.DEG12_SCAN_MAX_Q
-    elif form.degree == 6:
-        d, qmax = 2, locusz.SEXTIC_SCAN_MAX_Q
-    else:
-        raise SchemaError("F.degree: search supports degree 12 or 6")
-    if field.p > qmax:
-        raise SchemaError(f"F.field: degree-{form.degree} scan needs q <= {qmax}")
-    if not binform.is_squarefree(form):
-        raise SchemaError("F: not squarefree")
-    coeffs = [int(c) for c in form.coeffs]
-    if args.jobs == 1:
-        canonical = _kernels.decompose_scan(field.p, coeffs, d)
-    else:
-        total = field.p ** (d + 1)
-        bounds = [total * i // args.jobs for i in range(args.jobs + 1)]
-        shards = [
-            (field.p, coeffs, d, bounds[i], bounds[i + 1]) for i in range(args.jobs)
-        ]
-        canonical = []
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for part in pool.map(_scan_shard, shards):
-                canonical.extend(part)
-        canonical.sort()
-    raw = set()
-    for fr, gr in canonical:
-        raw.add((fr, gr))
-        raw.add((fr, tuple(-c % field.p for c in gr)))
-    orbits = locusz._group_orbits(field, raw)
+    if args.q and args.q != getattr(form.field, "p", None):
+        raise SchemaError(f"--q {args.q} disagrees with the form's field {form.field!r}")
+    orbits = locusz.decompose_fq(form, jobs=args.jobs)
     payload = {
-        "q": field.p,
+        "q": form.field.p,
         "degree": form.degree,
         "orbit_count": len(orbits),
         "orbits": [
@@ -413,7 +370,7 @@ OP_COVERAGE = {
         "recillas.frobenius_count",
         "locusz.plant",
         "locusz.verify_certificate",
-        "locusz.exhaustive_decompose_fq",
+        "locusz.decompose_fq",
         "locusz.constants_registry",
         "exactalg.perfect_square_root",
     ],
@@ -457,8 +414,7 @@ OP_COVERAGE = {
     "z-verify": ["locusz.verify_certificate"],
     "z-plant": ["locusz.plant"],
     "z-search": [
-        "locusz.exhaustive_decompose_fq",
-        "locusz.sextic_decompose_fq",
+        "locusz.decompose_fq",
         "exactalg.perfect_square_root",
     ],
     "z-constants": ["locusz.constants_registry"],
@@ -506,8 +462,7 @@ CATALOGUED_OPERATIONS = [
     "recillas.frobenius_count",
     "locusz.verify_certificate",
     "locusz.plant",
-    "locusz.exhaustive_decompose_fq",
-    "locusz.sextic_decompose_fq",
+    "locusz.decompose_fq",
     "locusz.constants_registry",
 ]
 

@@ -298,9 +298,7 @@ def to_b_point(u2: BinForm, u3: BinForm) -> BPoint:
         raise PolyError("need deg u2 <= 4 and deg u3 <= 6")
     if u2.is_zero and u3.is_zero:
         raise PolyError("zero point")
-    f = BinForm.homogenize(u2.dehomogenize(), 4) if u2.degree < 4 else u2
-    g = BinForm.homogenize(u3.dehomogenize(), 6) if u3.degree < 6 else u3
-    return BPoint(f, g, "weierstrass")
+    return BPoint(binform.pad(u2, 4), binform.pad(u3, 6), "weierstrass")
 
 
 def scale_decomposition(bp: BPoint, lam) -> BPoint:

@@ -30,39 +30,32 @@ class FibrationError(ValueError):
     pass
 
 
-def _pad(form: BinForm, degree: int) -> BinForm:
-    """Embed a form of degree <= d into the degree-d coefficient space
-    (align by x-degree of the affine chart)."""
-    if form.degree == degree:
-        return form
-    if form.degree > degree:
-        raise FibrationError(f"form degree {form.degree} exceeds {degree}")
-    return BinForm.homogenize(form.dehomogenize(), degree)
-
-
 class WModel:
-    """Y^2 = X^3 + a(s,t) X + b(s,t) with deg a <= 4, deg b <= 6."""
+    """Y^2 = X^3 + a(s,t) X + b(s,t) with deg a <= 4, deg b <= 6.
 
-    __slots__ = ("field", "a", "b")
+    A model knows two facts about itself, computed once when it is built:
+    ``delta``, the discriminant form 4 a^3 + 27 b^2, and ``nodal``, whether
+    that form is squarefree (``is_nodal_twelve``).
+    """
+
+    __slots__ = ("field", "a", "b", "delta", "nodal")
 
     def __init__(self, a: BinForm, b: BinForm):
         same_field(a.field, b.field)
-        self.a = _pad(a, 4)
-        self.b = _pad(b, 6)
+        self.a = binform.pad(a, 4)
+        self.b = binform.pad(b, 6)
         self.field = a.field
-        if self.discriminant_locus().is_zero:
+        self.delta = self.discriminant_locus()
+        if self.delta.is_zero:
             raise FibrationError("discriminant form vanishes identically")
+        self.nodal = is_nodal_twelve(self)
 
     def discriminant_locus(self) -> BinForm:
-        """The degree-12 form 4 a^3 + 27 b^2."""
+        """The degree-12 form 4 a^3 + 27 b^2 (stored as ``delta``)."""
         return (self.a ** 3).scale(4) + (self.b * self.b).scale(27)
 
     def __repr__(self):
         return f"WModel(a={self.a!r}, b={self.b!r})"
-
-
-def discriminant_locus(w: WModel) -> BinForm:
-    return w.discriminant_locus()
 
 
 def is_nodal_twelve(w: WModel) -> bool:
@@ -72,8 +65,7 @@ def is_nodal_twelve(w: WModel) -> bool:
     projective root, since a common root would be a multiple root of the
     discriminant; hence every singular fiber is multiplicative of type I1.
     """
-    delta = w.discriminant_locus()
-    ok = binform.is_squarefree(delta)
+    ok = binform.is_squarefree(w.delta)
     if ok:
         if not w.a.is_zero and not w.b.is_zero:
             if binform.gcd(w.a, w.b).degree != 0:
@@ -84,7 +76,7 @@ def is_nodal_twelve(w: WModel) -> bool:
 
 
 def kodaira_label(w: WModel) -> str:
-    if is_nodal_twelve(w):
+    if w.nodal:
         return "I1^12"
     return "degenerate: discriminant form has a repeated root"
 
@@ -102,12 +94,18 @@ def two_torsion_trigonal(w: WModel) -> CubicFamily:
 
 
 class Section:
-    """A section of the fibration, or the zero section O."""
+    """A section of the fibration, or the zero section O.
 
-    __slots__ = ("field", "is_zero", "x_num", "x_den_sqrt", "y_num")
+    ``Section(..., model=w)`` checks the equation of ``w`` once and records
+    it in ``model``; functions that take a section on ``w`` trust that record
+    instead of checking again.
+    """
 
-    def __init__(self, x_num, x_den_sqrt, y_num, is_zero=False):
+    __slots__ = ("field", "is_zero", "x_num", "x_den_sqrt", "y_num", "model")
+
+    def __init__(self, x_num, x_den_sqrt, y_num, is_zero=False, model=None):
         self.is_zero = bool(is_zero)
+        self.model = None
         if self.is_zero:
             self.field = None if x_num is None else x_num.field
             self.x_num = self.x_den_sqrt = self.y_num = None
@@ -128,13 +126,17 @@ class Section:
         self.x_num = x_num
         self.x_den_sqrt = x_den_sqrt
         self.y_num = y_num
+        if model is not None:
+            if not verify_section(model, self):
+                raise FibrationError("section does not lie on the model")
+            self.model = model
 
     @classmethod
     def zero(cls, field=None):
         s = cls.__new__(cls)
         s.is_zero = True
         s.field = field
-        s.x_num = s.x_den_sqrt = s.y_num = None
+        s.x_num = s.x_den_sqrt = s.y_num = s.model = None
         return s
 
     @property
@@ -147,7 +149,9 @@ class Section:
     def neg(self) -> "Section":
         if self.is_zero:
             return self
-        return Section(self.x_num, self.x_den_sqrt, -self.y_num)
+        out = Section(self.x_num, self.x_den_sqrt, -self.y_num)
+        out.model = self.model  # (-y)^2 = y^2: -S lies wherever S does
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, Section):
@@ -180,6 +184,11 @@ def verify_section(w: WModel, s: Section) -> bool:
     return (lhs - rhs).is_zero
 
 
+def _lies_on(w: WModel, s: Section) -> bool:
+    """``verify_section``, skipped for a section already verified on w."""
+    return s.model is w or verify_section(w, s)
+
+
 def polynomial_section(w: WModel, x0: UniPoly, y0: UniPoly) -> Section:
     """The section with polynomial coordinates (deg x0 <= 2, deg y0 <= 3)."""
     F = w.field
@@ -195,15 +204,12 @@ def make_with_section(x0: UniPoly, y0: UniPoly, a: BinForm):
     F = a.field
     if x0.degree > 2 or y0.degree > 3:
         raise FibrationError("need deg x0 <= 2 and deg y0 <= 3")
-    a4 = _pad(a, 4)
+    a4 = binform.pad(a, 4)
     X0 = BinForm.homogenize(x0, 2)
     Y0 = BinForm.homogenize(y0, 3)
     b = Y0 * Y0 - X0 ** 3 - a4 * X0
     w = WModel(a4, b)  # raises when the discriminant form vanishes
-    s = Section(X0, BinForm.constant(F, 1), Y0)
-    if not verify_section(w, s):
-        raise FibrationError("planted section failed verification")
-    return w, s
+    return w, Section(X0, BinForm.constant(F, 1), Y0, model=w)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +312,7 @@ def section_from_affine(w: WModel, x: _Rat, y: _Rat) -> Section:
         inv2 = F.mul(inv, inv)
         p_form = p_form.scale(inv2)
         y_form = y_form.scale(F.mul(inv2, inv))
-    s = Section(p_form, d_form, y_form)
-    if not verify_section(w, s):
-        raise FibrationError("affine data does not satisfy the model")
-    return s
+    return Section(p_form, d_form, y_form, model=w)
 
 
 def section_add(w: WModel, s: Section, t: Section) -> Section:
@@ -317,7 +320,7 @@ def section_add(w: WModel, s: Section, t: Section) -> Section:
     if not isinstance(w.field, PrimeField):
         raise FibrationError("the function-field group law is bound to F_p")
     for sec in (s, t):
-        if not verify_section(w, sec):
+        if not _lies_on(w, sec):
             raise FibrationError("summand is not a section of this model")
     if s.is_zero:
         return t
@@ -399,10 +402,10 @@ def height_pairing(w: WModel, s: Section, t: Section):
     Requires all twelve fibers nodal (no local correction terms otherwise)
     and verified sections.
     """
-    if not is_nodal_twelve(w):
+    if not w.nodal:
         raise FibrationError("height pairing needs twelve nodal fibers")
     for sec in (s, t):
-        if not verify_section(w, sec):
+        if not _lies_on(w, sec):
             raise FibrationError("unverified section in height pairing")
     if s.is_zero or t.is_zero:
         return 0
@@ -434,7 +437,7 @@ def halving_quartic(w: WModel, s: Section) -> QuarticFamily:
         raise FibrationError("halving the zero section: use two_torsion_trigonal")
     if s.y_num.is_zero:
         raise FibrationError("section is two-torsion on the generic fiber")
-    if not verify_section(w, s):
+    if not _lies_on(w, s):
         raise FibrationError("unverified section")
     p, d = s.x_num, s.x_den_sqrt
     a, b = w.a, w.b
@@ -619,12 +622,11 @@ def random_nodal_model(field: PrimeField, rng: random.Random, tries: int = 200) 
         b = BinForm(field, 6, [rng.randrange(field.p) for _ in range(7)])
         if a.is_zero and b.is_zero:
             continue
-        w = None
         try:
             w = WModel(a, b)
         except FibrationError:
             continue
-        if is_nodal_twelve(w):
+        if w.nodal:
             return w
     raise FibrationError("could not draw a twelve-nodal model")
 
@@ -642,19 +644,17 @@ def random_planted_model(field: PrimeField, rng: random.Random, tries: int = 400
             w, s = make_with_section(x0, y0, a)
         except FibrationError:
             continue
-        if is_nodal_twelve(w):
+        if w.nodal:
             return w, s
     raise FibrationError("could not draw a planted twelve-nodal model")
 
 
 def fibration_report(w: WModel) -> dict:
     """Analysis summary for the CLI: membership, label, F_p nodal points."""
-    delta = w.discriminant_locus()
-    in_a = is_nodal_twelve(w)
-    report = {"in_A": in_a, "kodaira": kodaira_label(w)}
+    report = {"in_A": w.nodal, "kodaira": kodaira_label(w)}
     if isinstance(w.field, PrimeField) and w.field.p <= upoly.ROOT_SCAN_BOUND:
-        pts = binform.roots_fp(delta)
+        pts = binform.roots_fp(w.delta)
         report["nodal_points_fp"] = sorted(
             [list(pt) + [m] for pt, m in pts.items()]
         )
-    return report, delta
+    return report

@@ -29,6 +29,20 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _object(obj, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
+    return obj
+
+
+def _count(obj: dict, key: str, where: str, default=None) -> int:
+    """The non-negative integer ``obj[key]``; ``default``, if given, when absent."""
+    value = _need(obj, key, where) if default is None else obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise SchemaError(f"{where}.{key}: need a non-negative integer, got {value!r}")
+    return value
+
+
 def form_to_json(f: BinForm) -> dict:
     # Coefficient order is descending in x: a0 x^d, a1 x^(d-1) y, ...
     return {
@@ -39,7 +53,7 @@ def form_to_json(f: BinForm) -> dict:
 
 
 def form_from_json(obj: dict, where: str = "form") -> BinForm:
-    degree = _need(obj, "degree", where)
+    degree = _count(obj, "degree", where)
     field = field_from_json(_need(obj, "field", where), f"{where}.field")
     raw = _need(obj, "coeffs", where)
     if not isinstance(raw, list) or len(raw) != degree + 1:
@@ -104,13 +118,15 @@ def section_to_json(s: Section) -> dict:
     }
 
 
-def section_from_json(obj: dict, where: str = "section") -> Section:
-    if obj.get("zero"):
+def section_from_json(obj: dict, where: str = "section", model=None) -> Section:
+    """Decode a section; with ``model``, also check that it lies on it."""
+    if _object(obj, where).get("zero"):
         return Section.zero()
     return Section(
         form_from_json(_need(obj, "x_num", where), f"{where}.x_num"),
         form_from_json(_need(obj, "x_den_sqrt", where), f"{where}.x_den_sqrt"),
         form_from_json(_need(obj, "y_num", where), f"{where}.y_num"),
+        model=model,
     )
 
 
@@ -142,7 +158,7 @@ def divclass_from_json(obj: dict, where: str = "class") -> DivClass:
 
 
 def constraint_from_json(obj: dict, where: str = "constraint") -> Constraint:
-    if "genus" in obj:
+    if "genus" in _object(obj, where):
         return Constraint("genus", int(obj["genus"]))
     return Constraint(
         "dot",

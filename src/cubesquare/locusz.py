@@ -2,11 +2,11 @@
 
 Certificates pair a degree-12 form F with a decomposition F = f^3 + g^2;
 planting builds certificates, verification re-checks them exactly.  Over a
-small prime field the full fiber over F is computed by an exhaustive scan
-over every f of degree <= 4 (``_kernels.decompose_scan``: the last
-coefficient of f is solved for, and each surviving candidate gets the full
-perfect-square test on F - f^3), and raw pairs are
-grouped into orbits of the torus action (f, g) -> (lam^2 f, lam^3 g) with
+small prime field the full fiber over F is computed by ``decompose_fq``, an
+exhaustive scan over every f of degree <= 4 (``_kernels.decompose_scan``:
+the last coefficient of f is solved for, and each surviving candidate gets
+the full perfect-square test on F - f^3), and raw pairs are grouped into
+orbits of the torus action (f, g) -> (lam^2 f, lam^3 g) with
 lam^6 = 1.  The map (f, g) -> f^3 + g^2 is birational onto the locus
 modulo that action, so a generic planted degree-12 form has exactly one
 orbit.  Planted pairs on the double-point hypersurface of the (f, g) space,
@@ -18,14 +18,18 @@ constants that are out of reach of a desk-scale computation live in
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
+
 from . import _kernels, binform
 from .binform import BinForm
 from .families import BPoint
 from .fields import PrimeField, same_field
 from .poly import PolyError
 
-DEG12_SCAN_MAX_Q = 13
-SEXTIC_SCAN_MAX_Q = 101
+# Degree of F -> (degree d of f, largest q the scan accepts): degree 12
+# (deg f = 4, deg g = 6) up to q = 13, sextics (deg f = 2, deg g = 3) up to
+# q = 101.  The scan covers q^(d+1) candidate f.
+SCAN_BOUNDS = {12: (4, 13), 6: (2, 101)}
 
 
 class ZCertificate:
@@ -49,19 +53,11 @@ class ZCertificate:
 
 def plant(f: BinForm, g: BinForm) -> ZCertificate:
     """Certificate for F = f^3 + g^2 (deg f <= 4, deg g <= 6)."""
-    point = BPoint(_pad(f, 4), _pad(g, 6), "monic")
+    point = BPoint(binform.pad(f, 4), binform.pad(g, 6), "monic")
     form = point.degree12()
     if form.is_zero:
         raise PolyError("f^3 + g^2 vanishes identically")
     return ZCertificate(form, point)
-
-
-def _pad(form: BinForm, degree: int) -> BinForm:
-    if form.degree == degree:
-        return form
-    if form.degree > degree:
-        raise PolyError(f"degree {form.degree} exceeds {degree}")
-    return BinForm.homogenize(form.dehomogenize(), degree)
 
 
 def verify_certificate(cert: ZCertificate) -> dict:
@@ -152,49 +148,45 @@ def _group_orbits(field: PrimeField, raw_pairs) -> list[DecompositionOrbit]:
     return sorted(orbits, key=lambda o: o.representative)
 
 
-def _scan(form: BinForm, d: int, lo=0, hi=None) -> list[DecompositionOrbit]:
+def decompose_fq(form: BinForm, jobs: int = 1) -> list[DecompositionOrbit]:
+    """All cube-plus-square decompositions of a squarefree form of degree 12
+    (q <= 13) or 6 (q <= 101) over F_q, as torus orbits.
+
+    Exhaustive over all q^(d+1) candidate f; the scan enumerates the q^d
+    prefixes and solves for the last coefficient (see ``_kernels``).  With
+    ``jobs`` > 1 the candidate range is split over that many worker
+    processes; the orbits do not depend on ``jobs``.  For sextics the
+    per-field orbit count is empirical data: a lower bound for the geometric
+    count of essentially different decompositions, never asserted to equal
+    any particular value.
+    """
     field = form.field
     if not isinstance(field, PrimeField):
-        raise PolyError("exhaustive decomposition runs over a prime field")
+        raise PolyError("the decomposition scan runs over a prime field")
+    if form.degree not in SCAN_BOUNDS:
+        raise PolyError(f"the scan supports degree 12 or 6, got {form.degree}")
+    d, qmax = SCAN_BOUNDS[form.degree]
     q = field.p
-    canonical = _kernels.decompose_scan(q, [int(c) for c in form.coeffs], d, lo, hi)
+    if q > qmax:
+        raise PolyError(f"the degree-{form.degree} scan needs q <= {qmax}, got {q}")
+    if not binform.is_squarefree(form):
+        raise PolyError(f"degree-{form.degree} form is not squarefree")
+    coeffs = [int(c) for c in form.coeffs]
+    if jobs == 1:
+        canonical = _kernels.decompose_scan(q, coeffs, d)
+    else:
+        bounds = [q ** (d + 1) * i // jobs for i in range(jobs + 1)]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = pool.map(
+                _kernels.decompose_scan,
+                [q] * jobs, [coeffs] * jobs, [d] * jobs, bounds[:-1], bounds[1:],
+            )
+            canonical = [hit for part in parts for hit in part]
     raw = set()
     for f_desc, g_desc in canonical:
         raw.add((f_desc, g_desc))
         raw.add((f_desc, tuple(-c % q for c in g_desc)))
     return _group_orbits(field, raw)
-
-
-def exhaustive_decompose_fq(form: BinForm) -> list[DecompositionOrbit]:
-    """All cube-plus-square decompositions of a squarefree degree-12 form
-    over F_q, q <= 13, as torus orbits.  Exhaustive over all q^5 candidate
-    f; the scan enumerates the q^4 prefixes and solves for the last
-    coefficient (see ``_kernels``)."""
-    if form.degree != 12:
-        raise PolyError("need a degree-12 form")
-    field = form.field
-    if not isinstance(field, PrimeField) or field.p > DEG12_SCAN_MAX_Q:
-        raise PolyError(f"degree-12 scan limited to F_q with q <= {DEG12_SCAN_MAX_Q}")
-    if not binform.is_squarefree(form):
-        raise PolyError("degree-12 form is not squarefree")
-    return _scan(form, 4)
-
-
-def sextic_decompose_fq(form: BinForm) -> list[DecompositionOrbit]:
-    """Same mechanism for squarefree sextics (deg f = 2, deg g = 3), q <= 101.
-
-    The per-field orbit count is empirical data: it is a lower bound for the
-    geometric count of essentially different decompositions and is not
-    asserted to equal any particular value.
-    """
-    if form.degree != 6:
-        raise PolyError("need a degree-6 form")
-    field = form.field
-    if not isinstance(field, PrimeField) or field.p > SEXTIC_SCAN_MAX_Q:
-        raise PolyError(f"sextic scan limited to F_q with q <= {SEXTIC_SCAN_MAX_Q}")
-    if not binform.is_squarefree(form):
-        raise PolyError("sextic form is not squarefree")
-    return _scan(form, 2)
 
 
 def _recomposes(cert: ZCertificate, f_desc, g_desc) -> bool:
@@ -238,7 +230,7 @@ def plant_verdict(cert: ZCertificate, orbits) -> dict:
 def planted_scan_report(cert: ZCertificate) -> dict:
     """Scan the certificate's form over F_q, q <= 13, and judge the result
     with ``plant_verdict``; extra orbits are listed, never suppressed."""
-    return plant_verdict(cert, exhaustive_decompose_fq(cert.form))
+    return plant_verdict(cert, decompose_fq(cert.form))
 
 
 def constants_registry() -> dict:

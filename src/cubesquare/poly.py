@@ -7,6 +7,7 @@ matrix over Z); over F_p a Euclidean remainder recursion is used.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .fields import PrimeField, same_field
@@ -255,19 +256,13 @@ def resultant(f: UniPoly, g: UniPoly):
     def clear(p):
         den = 1
         for c in p.coeffs:
-            den = den * c.denominator // _gcd_int(den, c.denominator)
+            den = math.lcm(den, c.denominator)
         return [int(c * den) for c in p.coeffs], den
 
     fz, df_den = clear(f)
     gz, dg_den = clear(g)
     det = _bareiss_det(_sylvester(fz, gz))
     return Fraction(det) / (Fraction(df_den) ** g.degree * Fraction(dg_den) ** f.degree)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def discriminant(f: UniPoly):

@@ -122,7 +122,7 @@ def criterion_fibration(seed: int = 1):
     branch_ok = 0
     for _ in range(50):
         w = fibration.random_nodal_model(field, rng)
-        delta = w.discriminant_locus()
+        delta = w.delta
         droots = binform.roots_fp(delta)
         fam = fibration.two_torsion_trigonal(w)
         if families.delta12_cubic(fam) != delta:
@@ -168,7 +168,7 @@ def criterion_fibration(seed: int = 1):
         if good and fibers_checked == 5:
             halving_ok += 1
         try:
-            quotient = families.delta12_quartic(fam).divexact(w.discriminant_locus())
+            quotient = families.delta12_quartic(fam).divexact(w.delta)
             if quotient.degree == 12:
                 divisible_ok += 1
         except upoly.PolyError:
@@ -307,7 +307,7 @@ def criterion_locus(plants: int = 100, seed: int = 1):
 
     f13 = PrimeField(13)
     power_form = BinForm(f13, 12, [1] + [0] * 11 + [1])
-    orbits = locusz.exhaustive_decompose_fq(power_form)
+    orbits = locusz.decompose_fq(power_form)
     has_first = any(
         o.contains_pair([1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1]) for o in orbits
     )

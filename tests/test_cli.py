@@ -276,3 +276,120 @@ def test_cli_selftest_small_scale(capsys):
     assert all(r["payload"]["passed"] for r in reports)
     names = [r["payload"]["criterion"] for r in reports]
     assert names[0] == "e8-census" and names[-1] == "constants-registry"
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_fibration_info_tests_delta_once(tmp_path, capsys, monkeypatch):
+    from cubesquare import binform
+    from cubesquare.fibration import WModel
+
+    path = _write(tmp_path, "model.json", MEMBERSHIP_MODEL)
+    squarefree = _counting(monkeypatch, binform, "is_squarefree")
+    built = _counting(monkeypatch, WModel, "discriminant_locus")
+    code, out = run_cli(capsys, "fibration-info", "--in", path)
+    assert code == 0
+    assert json.loads(out)["payload"]["decomposition_point"]["valid"] is True
+    assert len(squarefree) == 1
+    assert len(built) == 1
+
+
+def test_fibration_halving_checks_section_once(tmp_path, capsys, monkeypatch):
+    from cubesquare import fibration, jsonio
+    from cubesquare.fields import PrimeField
+    import random as _random
+
+    w, s = fibration.random_planted_model(PrimeField(1009), _random.Random(21))
+    doc = {"model": jsonio.model_to_json(w), "section": jsonio.section_to_json(s)}
+    path = _write(tmp_path, "halving.json", doc)
+    checks = _counting(monkeypatch, fibration, "verify_section")
+    code, out = run_cli(capsys, "fibration-halving", "--in", path)
+    assert code == 0
+    assert json.loads(out)["payload"]["section_height"] == 2
+    assert len(checks) == 1
+
+
+def test_fibration_halving_rejects_section_off_the_model(tmp_path, capsys):
+    from cubesquare import fibration, jsonio
+    from cubesquare.fields import PrimeField
+    import random as _random
+
+    rng = _random.Random(21)
+    w, s = fibration.random_planted_model(PrimeField(1009), rng)
+    other, _ = fibration.random_planted_model(PrimeField(1009), rng)
+    doc = {"model": jsonio.model_to_json(other), "section": jsonio.section_to_json(s)}
+    code, out = run_cli(capsys, "fibration-halving", "--in", _write(tmp_path, "h.json", doc))
+    assert code == 2
+    assert "does not lie on the model" in json.loads(out)["error"]["message"]
+
+
+def test_z_search_orbits_are_decompose_fq_orbits(tmp_path, capsys):
+    from cubesquare import jsonio, locusz
+    from cubesquare.binform import BinForm
+    from cubesquare.fields import PrimeField
+
+    F7 = PrimeField(7)
+    cert = locusz.plant(BinForm(F7, 4, [1, 2, 0, 3, 1]), BinForm(F7, 6, [2, 0, 1, 1, 0, 5, 3]))
+    assert locusz.verify_certificate(cert)["valid"]
+    path = _write(tmp_path, "F.json", jsonio.form_to_json(cert.form))
+    expected = [
+        {"size": len(o), "members": [[list(f), list(g)] for f, g in o.members]}
+        for o in locusz.decompose_fq(cert.form)
+    ]
+    for jobs in ("1", "3"):
+        code, out = run_cli(capsys, "z-search", "--F", path, "--jobs", jobs)
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["orbits"] == expected
+        assert payload["orbit_count"] == len(expected) >= 1
+
+
+def _assert_input_error(code, out, prefix):
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["status"] == "error"
+    assert doc["error"]["message"].startswith(prefix), doc["error"]["message"]
+
+
+def test_z_search_rejects_malformed_degree(tmp_path, capsys):
+    for degree in ("12", True, -1, 12.0, None):
+        F_doc = {"degree": degree, "field": {"kind": "Fp", "p": 7}, "coeffs": ["1"] * 13}
+        code, out = run_cli(capsys, "z-search", "--F", _write(tmp_path, "F.json", F_doc))
+        _assert_input_error(code, out, "F.degree")
+
+
+PICARD_SYSTEM = {
+    "generators": [{"h": 1, "e": [0] * 9}],
+    "constraints": [{"genus": 0}],
+}
+
+
+def test_picard_solve_rejects_malformed_box(tmp_path, capsys):
+    for box in ("abc", "5", -1, 2.5, True):
+        doc = dict(PICARD_SYSTEM, box=box)
+        code, out = run_cli(capsys, "picard-solve", "--in", _write(tmp_path, "s.json", doc))
+        _assert_input_error(code, out, "input.box")
+
+
+def test_picard_solve_rejects_non_object_documents(tmp_path, capsys):
+    code, out = run_cli(capsys, "picard-solve", "--in", _write(tmp_path, "s.json", [PICARD_SYSTEM]))
+    _assert_input_error(code, out, "input: expected an object")
+    doc = dict(PICARD_SYSTEM, constraints=[3])
+    code, out = run_cli(capsys, "picard-solve", "--in", _write(tmp_path, "s.json", doc))
+    _assert_input_error(code, out, "constraints[0]: expected an object")
+
+
+def test_fibration_halving_rejects_non_object_section(tmp_path, capsys):
+    doc = {"model": MEMBERSHIP_MODEL, "section": [1]}
+    code, out = run_cli(capsys, "fibration-halving", "--in", _write(tmp_path, "h.json", doc))
+    _assert_input_error(code, out, "section: expected an object")

@@ -338,7 +338,41 @@ def test_nodal_implies_ab_coprime():
 
 
 def test_fibration_report():
-    report, delta = fibration.fibration_report(membership_model(F1009))
+    report = fibration.fibration_report(membership_model(F1009))
     assert report["in_A"] is True
     assert report["kodaira"] == "I1^12"
     assert len(report["nodal_points_fp"]) >= 1
+
+
+def test_model_facts_match_the_decomposition_point():
+    # The Weierstrass point (a, b) has degree-12 form 4 a^3 + 27 b^2 = delta,
+    # so its validity is the model's nodal verdict.
+    F7 = PrimeField(7)
+    rng = random.Random(4)
+    kinds = set()
+    for _ in range(200):
+        a = BinForm(F7, 4, [rng.randrange(7) for _ in range(5)])
+        b = BinForm(F7, 6, [rng.randrange(7) for _ in range(7)])
+        try:
+            w = WModel(a, b)
+        except FibrationError:
+            continue
+        assert w.delta == w.discriminant_locus()
+        assert w.nodal == fibration.is_nodal_twelve(w)
+        assert families.to_b_point(w.a, w.b).is_valid() == fibration.is_nodal_twelve(w)
+        kinds.add(w.nodal)
+    assert kinds == {True, False}
+
+
+def test_section_records_its_model():
+    w, s = fibration.random_planted_model(F1009, random.Random(3))
+    assert s.model is w and s.neg().model is w
+    assert fibration.section_double(w, s).model is w
+    bare = Section(s.x_num, s.x_den_sqrt, s.y_num)
+    assert bare.model is None and fibration.verify_section(w, bare)
+    bumped = s.y_num + BinForm.monomial(F1009, s.y_num.degree, 0)
+    with pytest.raises(FibrationError):
+        Section(s.x_num, s.x_den_sqrt, bumped, model=w)
+    other, _ = fibration.random_planted_model(F1009, random.Random(4))
+    with pytest.raises(FibrationError):
+        fibration.halving_quartic(other, s)

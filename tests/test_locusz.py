@@ -56,7 +56,7 @@ def test_verify_reports_mismatch():
 
 def test_power_form_over_f13_has_both_printed_orbits():
     form = BinForm(F13, 12, [1] + [0] * 11 + [1])
-    orbits = locusz.exhaustive_decompose_fq(form)
+    orbits = locusz.decompose_fq(form)
     assert len(orbits) >= 2
     assert any(o.contains_pair([1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1]) for o in orbits)
     assert any(o.contains_pair([0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0, 0]) for o in orbits)
@@ -65,19 +65,19 @@ def test_power_form_over_f13_has_both_printed_orbits():
 def test_scan_rejects_bad_inputs():
     with pytest.raises(PolyError):
         # wrong degree
-        locusz.exhaustive_decompose_fq(BinForm(F13, 6, [1, 0, 0, 0, 0, 0, 1]))
+        locusz.decompose_fq(BinForm(F13, 8, [1, 0, 0, 0, 0, 0, 0, 0, 1]))
     with pytest.raises(PolyError):
         # not squarefree: x^2 y^10
-        locusz.exhaustive_decompose_fq(BinForm(F13, 12, [0] * 10 + [1, 0, 0]))
+        locusz.decompose_fq(BinForm(F13, 12, [0] * 10 + [1, 0, 0]))
     with pytest.raises(PolyError):
         # field too large for the q^5 scan
-        locusz.exhaustive_decompose_fq(BinForm(PrimeField(17), 12, [1] + [0] * 11 + [1]))
+        locusz.decompose_fq(BinForm(PrimeField(17), 12, [1] + [0] * 11 + [1]))
     with pytest.raises(PolyError):
-        locusz.sextic_decompose_fq(BinForm(PrimeField(103), 6, [1, 0, 0, 0, 0, 0, 1]))
+        locusz.decompose_fq(BinForm(PrimeField(103), 6, [1, 0, 0, 0, 0, 0, 1]))
     with pytest.raises(PolyError):
         # sextic with a square factor: (xy)^2 (x^2 + y^2)
         sq = BinForm(F11, 2, [0, 1, 0])
-        locusz.sextic_decompose_fq(sq * sq * BinForm(F11, 2, [1, 0, 1]))
+        locusz.decompose_fq(sq * sq * BinForm(F11, 2, [1, 0, 1]))
 
 
 def _plant_fq(field, rng):
@@ -99,7 +99,7 @@ def test_orbit_sizes_match_mu6(q, expected_orbit):
     rng = random.Random(q)
     for _ in range(3):
         cert = _plant_fq(field, rng)
-        orbits = locusz.exhaustive_decompose_fq(cert.form)
+        orbits = locusz.decompose_fq(cert.form)
         f_desc = [int(c) for c in cert.point.f.coeffs]
         g_desc = [int(c) for c in cert.point.g.coeffs]
         planted = [o for o in orbits if o.contains_pair(f_desc, g_desc)]
@@ -111,7 +111,7 @@ def test_orbit_sizes_match_mu6(q, expected_orbit):
 def test_orbits_regeneratable_from_any_member():
     rng = random.Random(99)
     cert = _plant_fq(F11, rng)
-    for orbit in locusz.exhaustive_decompose_fq(cert.form):
+    for orbit in locusz.decompose_fq(cert.form):
         f_desc, g_desc = orbit.members[0]
         regenerated = locusz._orbit_of(F11, f_desc, g_desc, locusz.mu6(F11))
         assert regenerated == frozenset(orbit.members)
@@ -134,7 +134,7 @@ def test_sextic_scan_finds_planted_orbit():
         form = f**3 + g * g
         if not form.is_zero and binform.is_squarefree(form):
             break
-    orbits = locusz.sextic_decompose_fq(form)
+    orbits = locusz.decompose_fq(form)
     f_desc = [int(c) for c in f.coeffs]
     g_desc = [int(c) for c in g.coeffs]
     assert any(o.contains_pair(f_desc, g_desc) for o in orbits)
@@ -151,7 +151,7 @@ def test_sextic_orbit_histogram_is_reported_not_asserted():
             form = BinForm(field, 6, [rng.randrange(47) for _ in range(7)])
             if not form.is_zero and binform.is_squarefree(form):
                 break
-        histogram[len(locusz.sextic_decompose_fq(form))] += 1
+        histogram[len(locusz.decompose_fq(form))] += 1
     assert sum(histogram.values()) == 10
     assert all(k >= 0 for k in histogram)
 

@@ -22,7 +22,7 @@ PADDING = 12
 def _scan(pair):
     f, g = pair
     cert = locusz.plant(BinForm(F11, 4, f), BinForm(F11, 6, g))
-    return cert, locusz.exhaustive_decompose_fq(cert.form)
+    return cert, locusz.decompose_fq(cert.form)
 
 
 @pytest.fixture(scope="module")
