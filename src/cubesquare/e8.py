@@ -8,10 +8,16 @@ sum divisible by 4, or all odd with sum divisible by 4", the inner product is
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
+
+
+def is_member_dcoords(d) -> bool:
+    par = {c % 2 for c in d}
+    return len(par) == 1 and sum(d) % 4 == 0
 
 
 class E8Vector:
@@ -23,8 +29,7 @@ class E8Vector:
         d = tuple(int(c) for c in dcoords)
         if len(d) != 8:
             raise ValueError("need 8 coordinates")
-        par = {c % 2 for c in d}
-        if len(par) != 1 or sum(d) % 4 != 0:
+        if not is_member_dcoords(d):
             raise ValueError(f"{d} is not in the lattice (doubled coordinates)")
         self.dcoords = d
 
@@ -54,11 +59,6 @@ class E8Vector:
 
     def norm(self) -> int:
         return self.dot(self)
-
-
-def is_member_dcoords(d) -> bool:
-    par = {c % 2 for c in d}
-    return len(par) == 1 and sum(d) % 4 == 0
 
 
 @lru_cache(maxsize=None)
@@ -120,18 +120,19 @@ BASIS_DCOORDS = (
 )
 
 
-@lru_cache(maxsize=None)
-def _basis_solver():
-    """(adjugate, det) of the basis matrix, for exact coordinate solves."""
-    from fractions import Fraction
-
-    n = 8
-    m = [[Fraction(BASIS_DCOORDS[i][j]) for j in range(n)] for i in range(n)]
-    # Invert by Gauss-Jordan over Q, then scale to the integer adjugate.
-    aug = [row[:] + [Fraction(int(i == k)) for i in range(n)] for k, row in enumerate(m)]
+def exact_inverse(matrix):
+    """(inverse, determinant) of a square integer matrix, both over Fraction,
+    by Gauss-Jordan elimination; raises ArithmeticError if it is singular."""
+    n = len(matrix)
+    aug = [
+        [Fraction(c) for c in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
     det = Fraction(1)
     for k in range(n):
-        piv = next(i for i in range(k, n) if aug[i][k] != 0)
+        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
+        if piv is None:
+            raise ArithmeticError("singular matrix")
         if piv != k:
             aug[k], aug[piv] = aug[piv], aug[k]
             det = -det
@@ -142,15 +143,17 @@ def _basis_solver():
             if i != k and aug[i][k] != 0:
                 c = aug[i][k]
                 aug[i] = [a - c * b for a, b in zip(aug[i], aug[k])]
-    inv_rows = [row[n:] for row in aug]
-    adj = np.array(
-        [[int(inv_rows[i][j] * det) for j in range(n)] for i in range(n)], dtype=np.int64
-    )
-    for i in range(n):
-        for j in range(n):
-            if inv_rows[i][j] * det != adj[i][j]:
-                raise ArithmeticError("adjugate not integral")
-    return adj, int(det)
+    return [row[n:] for row in aug], det
+
+
+@lru_cache(maxsize=None)
+def _basis_solver():
+    """(adjugate, det) of the basis matrix, for exact coordinate solves."""
+    inverse, det = exact_inverse(BASIS_DCOORDS)
+    adj = [[c * det for c in row] for row in inverse]
+    if any(c.denominator != 1 for row in adj for c in row):
+        raise ArithmeticError("adjugate not integral")
+    return np.array([[int(c) for c in row] for row in adj], dtype=np.int64), int(det)
 
 
 def basis_coordinates(v: E8Vector) -> tuple[int, ...]:

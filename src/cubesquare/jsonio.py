@@ -35,12 +35,24 @@ def _object(obj, where: str) -> dict:
     return obj
 
 
+def _list(obj, where: str) -> list:
+    if not isinstance(obj, list):
+        raise SchemaError(f"{where}: expected a list, got {type(obj).__name__}")
+    return obj
+
+
+def _integer(value, where: str, nonnegative: bool = False) -> int:
+    """``value`` if it is a JSON integer (a bool is not), and >= 0 if asked."""
+    if isinstance(value, bool) or not isinstance(value, int) or (nonnegative and value < 0):
+        need = "a non-negative integer" if nonnegative else "an integer"
+        raise SchemaError(f"{where}: need {need}, got {value!r}")
+    return value
+
+
 def _count(obj: dict, key: str, where: str, default=None) -> int:
     """The non-negative integer ``obj[key]``; ``default``, if given, when absent."""
     value = _need(obj, key, where) if default is None else obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise SchemaError(f"{where}.{key}: need a non-negative integer, got {value!r}")
-    return value
+    return _integer(value, f"{where}.{key}", nonnegative=True)
 
 
 def form_to_json(f: BinForm) -> dict:
@@ -154,15 +166,18 @@ def divclass_from_json(obj: dict, where: str = "class") -> DivClass:
     e = _need(obj, "e", where)
     if not isinstance(e, list) or len(e) != 9:
         raise SchemaError(f"{where}.e: need 9 integers")
-    return DivClass(int(_need(obj, "h", where)), [int(c) for c in e])
+    return DivClass(
+        _integer(_need(obj, "h", where), f"{where}.h"),
+        [_integer(c, f"{where}.e[{i}]") for i, c in enumerate(e)],
+    )
 
 
 def constraint_from_json(obj: dict, where: str = "constraint") -> Constraint:
     if "genus" in _object(obj, where):
-        return Constraint("genus", int(obj["genus"]))
+        return Constraint("genus", _integer(obj["genus"], f"{where}.genus"))
     return Constraint(
         "dot",
-        int(_need(obj, "equals", where)),
+        _integer(_need(obj, "equals", where), f"{where}.equals"),
         divclass_from_json(_need(obj, "dot_with", where), f"{where}.dot_with"),
     )
 
@@ -175,13 +190,15 @@ def tuple_to_json(t: HurwitzTuple) -> dict:
 
 
 def tuple_from_json(obj: dict, where: str = "tuple") -> HurwitzTuple:
-    degree = int(_need(obj, "degree", where))
+    degree = _count(obj, "degree", where)
     perms = []
-    for i, images in enumerate(_need(obj, "perms", where)):
+    for i, images in enumerate(_list(_need(obj, "perms", where), f"{where}.perms")):
+        at = f"{where}.perms[{i}]"
+        images = [_integer(x, f"{at}[{j}]") for j, x in enumerate(_list(images, at))]
         try:
-            perms.append(Perm.from_one_indexed([int(x) for x in images]))
+            perms.append(Perm.from_one_indexed(images))
         except ValueError as exc:
-            raise SchemaError(f"{where}.perms[{i}]: {exc}") from exc
+            raise SchemaError(f"{at}: {exc}") from exc
     return HurwitzTuple(degree, perms)
 
 

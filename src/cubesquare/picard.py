@@ -10,7 +10,8 @@ module's coordinates is constructed once and cached.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
+from types import MappingProxyType
 
 import numpy as np
 
@@ -201,8 +202,10 @@ def halving_class_systems() -> dict:
     }
 
 
-def solve_halving_classes() -> dict:
-    """Run the three systems; each must have a unique solution in the box."""
+@lru_cache(maxsize=None)
+def solve_halving_classes() -> MappingProxyType:
+    """Run the three systems once per process; each must have a unique
+    solution in the box.  Every caller shares the read-only result."""
     out = {}
     for name, (gens, cons, expected) in halving_class_systems().items():
         sols = solve_class(gens, cons)
@@ -211,7 +214,7 @@ def solve_halving_classes() -> dict:
         if sols[0] != expected:
             raise LatticeError(f"system {name} solved to {sols[0]}, wanted {expected}")
         out[name] = sols[0]
-    return out
+    return MappingProxyType(out)
 
 
 # Search box for minimal sections.  The two constraints force h <= 7 by
@@ -224,28 +227,19 @@ _E_RANGE = (-4, 2)
 
 @lru_cache(maxsize=None)
 def enumerate_minimal_sections() -> tuple[DivClass, ...]:
-    """The 240 classes with S.S = -1, S.K = -1, S.E0 = 0, by exhaustive search."""
+    """The 240 classes with S.S = -1, S.K = -1, S.E0 = 0, by exhaustive search.
+
+    S.E0 = -e0 = 0 forces e0 = 0; the remaining constraints,
+    S.K = -3h - sum(e) = -1 and S.S = h^2 - sum(e^2) = -1, are symmetric in
+    e1..e8, so the box is searched as sorted 8-multisets and each solution
+    is expanded into its distinct permutations.
+    """
     lo, hi = _E_RANGE
-    width = hi - lo + 1
-    total = width**8
-    idx = np.arange(total, dtype=np.int64)
-    flat = np.empty((total, 8), dtype=np.int8)
-    sums = np.zeros(total, dtype=np.int64)
-    sqs = np.zeros(total, dtype=np.int64)
-    for k in range(8):
-        col = idx % width
-        idx //= width
-        col += lo
-        flat[:, k] = col
-        sums += col
-        sqs += col * col
     out = []
     for h in range(0, _H_MAX + 1):
-        # S.E0 = -e0 = 0 forces e0 = 0; the remaining constraints:
-        # S.K = -3h - sum(e) = -1  and  S.S = h^2 - sum(e^2) = -1.
-        mask = (sums == 1 - 3 * h) & (sqs == h * h + 1)
-        for row in flat[mask]:
-            out.append(DivClass(h, [0] + [int(c) for c in row]))
+        for m in combinations_with_replacement(range(lo, hi + 1), 8):
+            if sum(m) == 1 - 3 * h and sum(c * c for c in m) == h * h + 1:
+                out.extend(DivClass(h, (0,) + e) for e in set(permutations(m)))
     for s in out:
         if s.h == _H_MAX or any(c in _E_RANGE for c in s.e[1:]):
             raise LatticeError(f"solution {s} on the search-box boundary")
@@ -325,39 +319,6 @@ def _match_simple_roots_e8(target_gram):
     return chosen
 
 
-def _invert_unimodular(gram):
-    """Exact inverse of an integer matrix with determinant +-1."""
-    from fractions import Fraction
-
-    n = len(gram)
-    aug = [
-        [Fraction(gram[i][j]) for j in range(n)]
-        + [Fraction(int(i == j)) for j in range(n)]
-        for i in range(n)
-    ]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next(i for i in range(k, n) if aug[i][k] != 0)
-        if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
-            det = -det
-        det *= aug[k][k]
-        inv = 1 / aug[k][k]
-        aug[k] = [c * inv for c in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k] != 0:
-                c = aug[i][k]
-                aug[i] = [a - c * b for a, b in zip(aug[i], aug[k])]
-    if det not in (1, -1):
-        raise LatticeError(f"Gram determinant {det}, expected a unit")
-    out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    for row in out:
-        for c in row:
-            if c.denominator != 1:
-                raise LatticeError("inverse not integral")
-    return [[int(c) for c in row] for row in out]
-
-
 @lru_cache(maxsize=None)
 def section_isometry():
     """An explicit pairing-preserving bijection of the 240 section classes
@@ -370,7 +331,12 @@ def section_isometry():
     basis_pic = simple_roots_pic()
     gram = _cartan_from(basis_pic, lambda a, b: -dot(a, b))
     basis_e8 = _match_simple_roots_e8(gram)
-    gram_inv = _invert_unimodular(gram)
+    inverse, det = e8.exact_inverse(gram)
+    if det not in (1, -1):
+        raise LatticeError(f"Gram determinant {det}, expected a unit")
+    if any(c.denominator != 1 for row in inverse for c in row):
+        raise LatticeError("inverse not integral")
+    gram_inv = [[int(c) for c in row] for row in inverse]
 
     sections = enumerate_minimal_sections()
     root_set = set(e8.enumerate_roots())

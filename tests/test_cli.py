@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cubesquare import cli, selftest
 from cubesquare.cli import DISPATCH, OP_COVERAGE, CATALOGUED_OPERATIONS, main
 
@@ -393,3 +395,78 @@ def test_fibration_halving_rejects_non_object_section(tmp_path, capsys):
     doc = {"model": MEMBERSHIP_MODEL, "section": [1]}
     code, out = run_cli(capsys, "fibration-halving", "--in", _write(tmp_path, "h.json", doc))
     _assert_input_error(code, out, "section: expected an object")
+
+
+# The whole contract for the lattice constants: the reports of the two
+# commands that take no input, byte for byte.
+REPORT_SHA256 = {
+    "picard-report": "b5a13c23a0f845d28c88dcab37d50859f7a349f8ddd1913e215c139de49cbb8a",
+    "e8-report": "0c63c9bc641f3533231d54afe543c83165a0b47ca3d04c3107e0453fa6516223",
+}
+
+
+def test_inputless_reports_are_pinned(capsys):
+    import hashlib
+
+    for command, digest in REPORT_SHA256.items():
+        code, out = run_cli(capsys, command)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+def test_main_builds_no_parser(capsys, monkeypatch):
+    built = _counting(monkeypatch, cli, "build_parser")
+    for _ in range(2):
+        code, _out = run_cli(capsys, "z-constants")
+        assert code == 0
+    assert built == []
+
+
+def test_warm_picard_report_solves_no_class(capsys, monkeypatch):
+    from cubesquare import picard
+
+    assert run_cli(capsys, "picard-report")[0] == 0
+    solves = _counting(monkeypatch, picard, "solve_class")
+    assert run_cli(capsys, "picard-report")[0] == 0
+    assert solves == []
+
+
+PICARD_GENERATOR = {"h": 1, "e": [0] * 9}
+
+
+@pytest.mark.parametrize(
+    "doc, prefix",
+    [
+        (dict(PICARD_SYSTEM, generators=[{"h": "abc", "e": [0] * 9}]), "generators[0].h"),
+        (dict(PICARD_SYSTEM, generators=[{"h": 3.0, "e": [0] * 9}]), "generators[0].h"),
+        (dict(PICARD_SYSTEM, generators=[{"h": 1, "e": [0] * 8 + ["1"]}]), "generators[0].e[8]"),
+        (dict(PICARD_SYSTEM, generators=PICARD_GENERATOR), "generators: expected a list"),
+        (dict(PICARD_SYSTEM, constraints=[{"genus": "x"}]), "constraints[0].genus"),
+        (dict(PICARD_SYSTEM, constraints=[{"genus": 2.7}]), "constraints[0].genus"),
+        (dict(PICARD_SYSTEM, constraints=[{"genus": False}]), "constraints[0].genus"),
+        (
+            dict(PICARD_SYSTEM, constraints=[{"dot_with": PICARD_GENERATOR, "equals": "1"}]),
+            "constraints[0].equals",
+        ),
+        (dict(PICARD_SYSTEM, constraints={"genus": 0}), "constraints: expected a list"),
+    ],
+)
+def test_picard_solve_rejects_malformed_integers(tmp_path, capsys, doc, prefix):
+    code, out = run_cli(capsys, "picard-solve", "--in", _write(tmp_path, "s.json", doc))
+    _assert_input_error(code, out, prefix)
+
+
+@pytest.mark.parametrize(
+    "doc, prefix",
+    [
+        ({"degree": 4, "perms": [5]}, "tuple.perms[0]: expected a list"),
+        ({"degree": 4, "perms": 5}, "tuple.perms: expected a list"),
+        ({"degree": 4, "perms": [[2, 1, "3", 4]]}, "tuple.perms[0][2]"),
+        ({"degree": 4, "perms": [[2, 1, 3.0, 4]]}, "tuple.perms[0][2]"),
+        ({"degree": "x", "perms": [[2, 1, 3, 4]] * 2}, "tuple.degree"),
+        ({"degree": 4.0, "perms": [[2, 1, 3, 4]] * 2}, "tuple.degree"),
+    ],
+)
+def test_recillas_forward_rejects_malformed_integers(tmp_path, capsys, doc, prefix):
+    code, out = run_cli(capsys, "recillas-forward", "--in", _write(tmp_path, "t.json", doc))
+    _assert_input_error(code, out, prefix)

@@ -160,3 +160,26 @@ def test_reflect():
     assert e8.reflect(r, r) == -r
     v = roots[17]
     assert e8.reflect(e8.reflect(v, r), r) == v
+
+
+def test_exact_inverse_inverts_both_lattice_bases():
+    from fractions import Fraction
+
+    from cubesquare import picard
+
+    roots = picard.simple_roots_pic()
+    cartan = [[-picard.dot(a, b) for b in roots] for a in roots]
+    for matrix, expected_det in ((e8.BASIS_DCOORDS, 256), (cartan, 1)):
+        inverse, det = e8.exact_inverse(matrix)
+        assert abs(det) == expected_det
+        n = len(matrix)
+        product = [
+            [sum(Fraction(matrix[i][k]) * inverse[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_exact_inverse_rejects_singular_matrix():
+    with pytest.raises(ArithmeticError, match="singular"):
+        e8.exact_inverse([[1, 2, 3], [2, 4, 6], [0, 1, 1]])

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -77,6 +79,12 @@ def test_solve_class_systems_unique():
         "two_torsion": (9, -3, 0),
         "quintic_triple_point": (5, -3, -1),
     }
+
+
+def test_halving_solves_are_shared_and_read_only():
+    assert picard.solve_halving_classes() is picard.solve_halving_classes()
+    with pytest.raises(TypeError):
+        picard.solve_halving_classes()["two_torsion"] = (0, 0, 0)
 
 
 def test_solve_class_reports_empty_box():
@@ -212,3 +220,55 @@ def test_mw_image_is_root_like():
         assert dot(v, v) == -2
         assert dot(v, K) == 0
         assert dot(v, E(0)) == 0
+
+
+def _arrangements(parts, free=tuple(range(8))):
+    """Every filling of the positions ``free`` with ``parts``, a list of
+    (value, multiplicity), as a dict position -> value."""
+    if not parts:
+        yield {}
+        return
+    (value, k), rest = parts[0], parts[1:]
+    for chosen in combinations(free, k):
+        left = tuple(i for i in free if i not in chosen)
+        for placed in _arrangements(rest, left):
+            yield {**placed, **dict.fromkeys(chosen, value)}
+
+
+# The seven S8-orbits of minimal sections: (h, [(e value, multiplicity), ...]).
+SECTION_TYPES = [
+    (0, [(1, 1), (0, 7)]),
+    (1, [(-1, 2), (0, 6)]),
+    (2, [(-1, 5), (0, 3)]),
+    (3, [(-2, 1), (-1, 6), (0, 1)]),
+    (4, [(-2, 3), (-1, 5)]),
+    (5, [(-2, 6), (-1, 2)]),
+    (6, [(-3, 1), (-2, 7)]),
+]
+
+
+def test_minimal_sections_are_the_seven_permutation_types():
+    expected = []
+    for h, parts in SECTION_TYPES:
+        orbit = [DivClass(h, [0] + [p[i] for i in range(8)]) for p in _arrangements(parts)]
+        assert len(set(orbit)) == len(orbit)
+        expected.extend(orbit)
+    assert [sum(1 for s in expected if s.h == h) for h in range(7)] == [8, 28, 56, 56, 56, 28, 8]
+    assert enumerate_minimal_sections() == tuple(sorted(expected, key=DivClass.as_vector))
+
+
+@pytest.mark.parametrize("name, value", [("_E_RANGE", (-3, 1)), ("_H_MAX", 6)])
+def test_minimal_sections_box_boundary_check_bites(monkeypatch, name, value):
+    monkeypatch.setattr(picard, name, value)
+    with pytest.raises(LatticeError, match="boundary"):
+        enumerate_minimal_sections.__wrapped__()
+
+
+def test_minimal_sections_traced_peak_is_small():
+    tracemalloc.start()
+    try:
+        enumerate_minimal_sections.__wrapped__()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"traced peak {peak} B"
