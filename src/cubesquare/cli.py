@@ -116,6 +116,8 @@ def cmd_picard_solve(args) -> int:
         sols = picard.solve_class(gens, cons, box=box)
         payload = {"solutions": [list(s) for s in sols], "box": box}
         status, error = "ok", None
+    except picard.EnumerationTooLarge as exc:
+        raise SchemaError(f"input.box: {exc}") from exc
     except picard.LatticeError as exc:
         payload = {"solutions": [], "box": box}
         status, error = "error", {"code": 1, "message": str(exc)}
@@ -128,9 +130,6 @@ def cmd_picard_report(args) -> int:
     solves = picard.solve_halving_classes()
     recon = picard.reconstruct_e0([picard.E(i) for i in range(1, 9)])
     sections = picard.enumerate_minimal_sections()
-    heights = sorted(
-        {picard.lattice_height(s, sections[0]) for s in sections}
-    )
     payload = {
         "minimal_sections": len(sections),
         "h_census": {str(k): v for k, v in sorted(picard.section_h_census().items())},
@@ -138,7 +137,7 @@ def cmd_picard_report(args) -> int:
         "intersections": picard.intersection_examples(),
         "isometry_verified": picard.verify_isometry(),
         "mod2_section_classes": picard.mod2_section_classes(),
-        "pairings_against_first_section": heights,
+        "pairings_against_first_section": list(picard.pairings_against_first_section()),
         "reconstructed_zero_base_class": jsonio.divclass_to_json(recon),
     }
     _emit(jsonio.make_report("picard-report", payload, [payload]), args.out)
@@ -331,141 +330,6 @@ DISPATCH = {
     "z-search": cmd_z_search,
     "z-constants": cmd_z_constants,
 }
-
-# Which catalogued operations each subcommand reaches (directly or through
-# the suites it runs); the coverage test asserts every operation appears.
-OP_COVERAGE = {
-    "selftest": [
-        "exactalg.resultant",
-        "exactalg.discriminant",
-        "exactalg.is_squarefree",
-        "exactalg.roots_fp",
-        "binforms.u_invariants_quartic",
-        "binforms.delta12_quartic",
-        "binforms.u_invariants_cubic",
-        "binforms.delta12_cubic",
-        "binforms.reconcile_with_standard",
-        "fibration.discriminant_locus",
-        "fibration.is_nodal_twelve",
-        "fibration.two_torsion_trigonal",
-        "fibration.make_with_section",
-        "fibration.verify_section",
-        "fibration.halving_quartic",
-        "fibration.fiber_group_law",
-        "fibration.section_group_law",
-        "e8.enumerate_roots",
-        "e8.enumerate_norm4",
-        "e8.weyl_order",
-        "e8.mod2_census",
-        "e8.theta_char_counts",
-        "picard.solve_class",
-        "picard.enumerate_minimal_sections",
-        "picard.lattice_height",
-        "picard.dot",
-        "picard.adjunction_genus",
-        "recillas.rh_genus",
-        "recillas.forward",
-        "recillas.reverse",
-        "recillas.random_tuple",
-        "recillas.frobenius_count",
-        "locusz.plant",
-        "locusz.verify_certificate",
-        "locusz.decompose_fq",
-        "locusz.constants_registry",
-        "exactalg.perfect_square_root",
-    ],
-    "e8-report": [
-        "e8.enumerate_roots",
-        "e8.enumerate_norm4",
-        "e8.weyl_order",
-        "e8.mod2_census",
-        "e8.theta_char_counts",
-    ],
-    "picard-solve": ["picard.solve_class"],
-    "picard-report": [
-        "picard.dot",
-        "picard.adjunction_genus",
-        "picard.enumerate_minimal_sections",
-        "picard.lattice_height",
-        "picard.reconstruct_e0",
-    ],
-    "fibration-info": [
-        "fibration.discriminant_locus",
-        "fibration.is_nodal_twelve",
-        "exactalg.is_squarefree",
-        "exactalg.roots_fp",
-        "exactalg.distinct_root_count_fp",
-        "binforms.to_b_point",
-    ],
-    "fibration-halving": [
-        "fibration.halving_quartic",
-        "fibration.verify_section",
-        "fibration.height_pairing",
-        "binforms.delta12_quartic",
-    ],
-    "recillas-forward": [
-        "recillas.s4_to_s3",
-        "recillas.s4_to_s6",
-        "recillas.forward",
-        "recillas.rh_genus",
-    ],
-    "recillas-reverse": ["recillas.reverse"],
-    "recillas-selftest": ["recillas.random_tuple", "recillas.frobenius_count"],
-    "z-verify": ["locusz.verify_certificate"],
-    "z-plant": ["locusz.plant"],
-    "z-search": [
-        "locusz.decompose_fq",
-        "exactalg.perfect_square_root",
-    ],
-    "z-constants": ["locusz.constants_registry"],
-}
-
-CATALOGUED_OPERATIONS = [
-    "exactalg.resultant",
-    "exactalg.discriminant",
-    "exactalg.is_squarefree",
-    "exactalg.perfect_square_root",
-    "exactalg.distinct_root_count_fp",
-    "exactalg.roots_fp",
-    "binforms.u_invariants_quartic",
-    "binforms.delta12_quartic",
-    "binforms.u_invariants_cubic",
-    "binforms.delta12_cubic",
-    "binforms.reconcile_with_standard",
-    "binforms.to_b_point",
-    "fibration.discriminant_locus",
-    "fibration.is_nodal_twelve",
-    "fibration.two_torsion_trigonal",
-    "fibration.verify_section",
-    "fibration.make_with_section",
-    "fibration.halving_quartic",
-    "fibration.fiber_group_law",
-    "fibration.section_group_law",
-    "fibration.height_pairing",
-    "e8.enumerate_roots",
-    "e8.enumerate_norm4",
-    "e8.weyl_order",
-    "e8.mod2_census",
-    "e8.theta_char_counts",
-    "picard.dot",
-    "picard.adjunction_genus",
-    "picard.solve_class",
-    "picard.enumerate_minimal_sections",
-    "picard.lattice_height",
-    "picard.reconstruct_e0",
-    "recillas.rh_genus",
-    "recillas.s4_to_s3",
-    "recillas.s4_to_s6",
-    "recillas.forward",
-    "recillas.reverse",
-    "recillas.random_tuple",
-    "recillas.frobenius_count",
-    "locusz.verify_certificate",
-    "locusz.plant",
-    "locusz.decompose_fq",
-    "locusz.constants_registry",
-]
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

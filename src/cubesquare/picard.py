@@ -9,8 +9,10 @@ module's coordinates is constructed once and cached.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
+from math import isqrt, lcm
 from types import MappingProxyType
 
 import numpy as np
@@ -102,11 +104,158 @@ class Constraint:
         return adjunction_genus(d) == self.value
 
 
+# Cap on the enumeration solve_class has left after elimination:
+# (2 box + 1) to the number of coordinates it still enumerates.  Each
+# enumerated tuple yields at most two roots, and lines where the genus
+# quadratic degenerates add at most as many candidates again.  Near the cap
+# a request takes about 10 s (three generators, a genus constraint only, box
+# 499: 999^2 lines, on a 2-vCPU Xeon).  The halving systems enumerate no
+# coordinate at any box.
+MAX_ENUMERATION = 10**6
+
+
+class EnumerationTooLarge(LatticeError):
+    """The box leaves more than MAX_ENUMERATION tuples to enumerate."""
+
+
 def solve_class(generators, constraints, box: int = 20):
     """All integer tuples (x_i), |x_i| <= box, with D = sum x_i G_i meeting the constraints.
 
-    Exhaustive over the box; up to 3 generators.  Constraints are evaluated
-    through precomputed pairings, so the scan is arithmetic on small ints.
+    Up to 3 generators.  The dot constraints are linear: row reduction
+    writes the pivot coordinates as affine functions of the n - r free ones,
+    r the rank of the constraints.  All free coordinates but the last are
+    enumerated over the box; along the last one the genus condition is an
+    integer quadratic, solved exactly.  With no genus constraint, or where
+    the quadratic is constant along the line, that coordinate is enumerated
+    too.  Every candidate must be integral and pass the scan's tests: the box
+    on every coordinate, the parity of the adjunction sum and each genus.
+
+    Cost O(box^(n - r - 1)) instead of the scan's O(box^n); a system that
+    leaves more than MAX_ENUMERATION tuples raises EnumerationTooLarge.
+    Returns the tuples of ``_solve_class_scan`` in the same (sorted) order
+    and raises the same LatticeError when there are none.
+    """
+    n = len(generators)
+    if not 1 <= n <= 3:
+        raise LatticeError("solve_class takes 1 to 3 generators")
+    gram = [[dot(a, b) for b in generators] for a in generators]
+    kdots = [dot(g, K) for g in generators]
+    rows = []  # augmented rows [D.G_1, ..., D.G_n | value] of the dot constraints
+    genus_targets = []
+    for c in constraints:
+        if c.kind == "dot":
+            rows.append([dot(g, c.target) for g in generators] + [c.value])
+        else:
+            genus_targets.append(c.value)
+
+    def pair(u, v):  # u.G.v on coefficient vectors
+        return sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+
+    def kdot(u):
+        return sum(a * b for a, b in zip(u, kdots))
+
+    def meets(xs):  # the scan's tests, on an integer tuple
+        if any(abs(x) > box for x in xs):
+            return False
+        if genus_targets:
+            tot = pair(xs, xs) + kdot(xs)
+            if tot % 2 or any(tot // 2 + 1 != t for t in genus_targets):
+                return False
+        return True
+
+    sols = []
+    solution = _affine_solution(rows, n)
+    if solution is not None:
+        # Every rational solution of the dot rows is X / den with
+        # X = base + sum_f x_f dir_f over the free coordinates x_f.
+        den, base, dirs = solution
+        line = dirs[-1] if genus_targets and dirs else None
+        walk = dirs[:-1] if line is not None else dirs
+        constant = False
+        if line is not None:
+            # den^2 (D.D + D.K) along X = P + s line is qa s^2 + qb s + qc,
+            # to equal den^2 2 (genus - 1).  qa and the slopes of qb in the
+            # walked coordinates do not depend on the point P.
+            qa = pair(line, line)
+            slopes = [2 * pair(d, line) for d in walk]
+            qb0 = 2 * pair(base, line) + den * kdot(line)
+            shift = 2 * (genus_targets[0] - 1) * den * den
+            constant = qa == 0 and qb0 == 0 and not any(slopes)
+        enumerated = len(walk) + constant
+        size = (2 * box + 1) ** enumerated
+        if size > MAX_ENUMERATION:
+            raise EnumerationTooLarge(
+                f"box {box} leaves (2 box + 1)^{enumerated} = {size} tuples to "
+                f"enumerate, over the cap {MAX_ENUMERATION}"
+            )
+        rng = range(-box, box + 1)
+        for ts in product(rng, repeat=len(walk)):
+            point = base
+            for t, d in zip(ts, walk):
+                point = [p + t * c for p, c in zip(point, d)]
+            if line is None:
+                candidates = [point]
+            else:
+                qb = qb0 + sum(t * m for t, m in zip(ts, slopes))
+                qc = pair(point, point) + den * kdot(point) - shift
+                steps = rng if qa == qb == 0 else _integer_quadratic_roots(qa, qb, qc)
+                candidates = ([p + s * v for p, v in zip(point, line)] for s in steps)
+            for scaled in candidates:
+                if all(c % den == 0 for c in scaled):
+                    xs = tuple(c // den for c in scaled)
+                    if meets(xs):
+                        sols.append(xs)
+    if not sols:
+        raise LatticeError(f"no solution with coefficients in [-{box}, {box}]")
+    return sorted(sols)
+
+
+def _affine_solution(rows, n: int):
+    """The rational solutions of augmented integer rows [a_1 .. a_n | b].
+
+    Gauss-Jordan over Q.  Returns (den, base, dirs), integral, such that the
+    solutions are exactly (base + sum_f x_f dirs_f) / den, one direction per
+    free column f in increasing order with entry den at f; or None when the
+    rows are inconsistent.
+    """
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [v / m[r][col] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    if any(row[n] for row in m[len(pivots):]):
+        return None
+    den = lcm(*(v.denominator for row in m for v in row))
+    base = [0] * n
+    for row, p in zip(m, pivots):
+        base[p] = int(row[n] * den)
+    dirs = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        d = [0] * n
+        d[f] = den
+        for row, p in zip(m, pivots):
+            d[p] = int(-row[f] * den)
+        dirs.append(d)
+    return den, base, dirs
+
+
+def _solve_class_scan(generators, constraints, box: int = 20):
+    """The reference for ``solve_class``: every tuple of the box, tested.
+
+    Exhaustive, (2 box + 1)^n tuples; up to 3 generators.  Constraints are
+    evaluated through precomputed pairings, so the scan is arithmetic on
+    small ints.  Only the tests call it.
     """
     n = len(generators)
     if not 1 <= n <= 3:
@@ -256,6 +405,18 @@ def lattice_height(s: DivClass, t: DivClass) -> int:
     return 1 + dot(s, E(0)) + dot(t, E(0)) - dot(s, t)
 
 
+@lru_cache(maxsize=None)
+def pairings_against_first_section() -> tuple[int, ...]:
+    """The distinct heights <S, S_1>, S over the 240 minimal sections and
+    S_1 the first of them, in increasing order.
+
+    The enumeration guarantees S.S = -1, S.K = -1 and S.E0 = 0, so the
+    height is 1 - S.S_1 without ``lattice_height``'s re-checks.
+    """
+    sections = enumerate_minimal_sections()
+    return tuple(sorted({1 - dot(s, sections[0]) for s in sections}))
+
+
 def section_h_census() -> dict[int, int]:
     census: dict[int, int] = {}
     for s in enumerate_minimal_sections():
@@ -360,8 +521,11 @@ def section_isometry():
     return mapping, tuple(basis_pic), tuple(basis_e8)
 
 
+@lru_cache(maxsize=None)
 def verify_isometry() -> bool:
-    """Check the full 240 x 240 Gram data transports along the isometry."""
+    """Check the full 240 x 240 Gram data transports along the isometry.
+
+    A constant of the cached isometry, so it runs once per process."""
     mapping, _, _ = section_isometry()
     sections = list(mapping)
     vecs = np.array([mapping[s].dcoords for s in sections], dtype=np.int64)
@@ -514,8 +678,6 @@ def _extended_gcd(a: int, b: int):
 
 
 def _integer_quadratic_roots(a: int, b: int, c: int):
-    from math import isqrt
-
     if a == 0:
         if b == 0:
             raise LatticeError("degenerate quadratic in the reconstruction")
@@ -535,8 +697,11 @@ def _integer_quadratic_roots(a: int, b: int, c: int):
     return sorted(set(out))
 
 
+@lru_cache(maxsize=None)
 def mod2_section_classes() -> int:
-    """Number of classes of the 240 sections modulo twice the section lattice."""
+    """Number of classes of the 240 sections modulo twice the section lattice.
+
+    A constant of the cached isometry, so it runs once per process."""
     mapping, _, _ = section_isometry()
     return len({e8.mod2_key(v) for v in mapping.values()})
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cubesquare import cli, selftest
-from cubesquare.cli import DISPATCH, OP_COVERAGE, CATALOGUED_OPERATIONS, main
+from cubesquare.cli import DISPATCH, main
 
 
 def run_cli(capsys, *argv):
@@ -30,15 +30,7 @@ def test_dispatch_table_complete():
         "z-search",
         "z-constants",
     }
-    assert set(OP_COVERAGE) == subcommands
-
-
-def test_every_operation_reachable_from_a_subcommand():
-    reachable = set()
-    for ops in OP_COVERAGE.values():
-        reachable |= set(ops)
-    missing = [op for op in CATALOGUED_OPERATIONS if op not in reachable]
-    assert not missing, f"unreachable operations: {missing}"
+    assert set(REACHES) == subcommands
 
 
 def test_e8_report(capsys):
@@ -431,6 +423,66 @@ def test_warm_picard_report_solves_no_class(capsys, monkeypatch):
     assert solves == []
 
 
+def test_warm_picard_report_makes_no_height_calls(capsys, monkeypatch):
+    from cubesquare import picard
+
+    assert run_cli(capsys, "picard-report")[0] == 0
+    heights = _counting(monkeypatch, picard, "lattice_height")
+    assert run_cli(capsys, "picard-report")[0] == 0
+    assert heights == []
+
+
+def test_repeated_picard_reports_rerun_no_isometry_check(capsys, monkeypatch):
+    # verify_isometry and mod2_section_classes read the isometry and then
+    # project each class (mw_image) or reduce each root (mod2_key); a rerun
+    # of either would show in these counts.
+    from cubesquare import e8, picard
+
+    assert run_cli(capsys, "picard-report")[0] == 0
+    counts = [
+        _counting(monkeypatch, picard, "section_isometry"),
+        _counting(monkeypatch, picard, "mw_image"),
+        _counting(monkeypatch, e8, "mod2_key"),
+    ]
+    for _ in range(3):
+        code, out = run_cli(capsys, "picard-report")
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["isometry_verified"] is True
+        assert payload["mod2_section_classes"] == 120
+    assert counts == [[], [], []]
+
+
+def test_picard_solve_rejects_a_box_over_the_enumeration_cap(tmp_path, capsys):
+    from cubesquare import picard
+
+    # No constraint leaves the one coordinate to enumerate: 2 * 10^8 + 1 tuples.
+    doc = {"generators": [PICARD_GENERATOR], "constraints": [], "box": 10**8}
+    code, out = run_cli(capsys, "picard-solve", "--in", _write(tmp_path, "s.json", doc))
+    _assert_input_error(code, out, "input.box")
+    assert str(picard.MAX_ENUMERATION) in json.loads(out)["error"]["message"]
+
+
+def test_picard_solve_workload_systems_stay_under_the_cap(tmp_path, capsys):
+    # The halving systems enumerate no coordinate, whatever the box.
+    from cubesquare import jsonio, picard
+
+    for name, (gens, cons, expected) in picard.halving_class_systems().items():
+        doc = {
+            "generators": [jsonio.divclass_to_json(g) for g in gens],
+            "constraints": [
+                {"genus": c.value}
+                if c.kind == "genus"
+                else {"dot_with": jsonio.divclass_to_json(c.target), "equals": c.value}
+                for c in cons
+            ],
+            "box": 10**8,
+        }
+        code, out = run_cli(capsys, "picard-solve", "--in", _write(tmp_path, "s.json", doc))
+        assert code == 0, name
+        assert list(expected) in json.loads(out)["payload"]["solutions"]
+
+
 PICARD_GENERATOR = {"h": 1, "e": [0] * 9}
 
 
@@ -470,3 +522,191 @@ def test_picard_solve_rejects_malformed_integers(tmp_path, capsys, doc, prefix):
 def test_recillas_forward_rejects_malformed_integers(tmp_path, capsys, doc, prefix):
     code, out = run_cli(capsys, "recillas-forward", "--in", _write(tmp_path, "t.json", doc))
     _assert_input_error(code, out, prefix)
+
+
+# The operations each subcommand must reach, as "module.function" or
+# "module.Class.method".  The test below runs every subcommand on a small
+# valid input and counts the calls, so an entry that names a function which
+# does not exist, or which the command no longer calls, fails.
+REACHES = {
+    "selftest": [
+        "e8.census_report",
+        "picard.solve_halving_classes",
+        "picard.enumerate_minimal_sections",
+        "picard.verify_isometry",
+        "picard.intersection_examples",
+        "picard.section_h_census",
+        "picard.dot",
+        "picard.adjunction_genus",
+        "poly.resultant",
+        "poly.discriminant",
+        "binform.is_squarefree",
+        "binform.roots_fp",
+        "families.u_invariants_quartic",
+        "families.delta12_quartic",
+        "families.u_invariants_cubic",
+        "families.delta12_cubic",
+        "families.reconcile_with_standard",
+        "fibration.is_nodal_twelve",
+        "fibration.two_torsion_trigonal",
+        "fibration.make_with_section",
+        "fibration.verify_section",
+        "fibration.halving_quartic",
+        "fibration.halving_set_bruteforce",
+        "fibration.FiberCurve.add",
+        "recillas.random_tuple",
+        "recillas.forward",
+        "recillas.reverse",
+        "recillas.frobenius_count",
+        "locusz.plant",
+        "locusz.verify_certificate",
+        "locusz.decompose_fq",
+        "locusz.constants_registry",
+    ],
+    "e8-report": [
+        "e8.census_report",
+        "e8.enumerate_roots",
+        "e8.enumerate_norm4",
+        "e8.weyl_order",
+        "e8.mod2_census",
+        "e8.theta_char_counts",
+    ],
+    "picard-solve": ["picard.solve_class"],
+    "picard-report": [
+        "picard.solve_halving_classes",
+        "picard.enumerate_minimal_sections",
+        "picard.section_h_census",
+        "picard.intersection_examples",
+        "picard.verify_isometry",
+        "picard.mod2_section_classes",
+        "picard.pairings_against_first_section",
+        "picard.reconstruct_e0",
+        "picard.dot",
+        "picard.adjunction_genus",
+    ],
+    "fibration-info": [
+        "fibration.fibration_report",
+        "fibration.WModel.discriminant_locus",
+        "fibration.is_nodal_twelve",
+        "binform.is_squarefree",
+        "binform.roots_fp",
+        "poly.distinct_root_count_fp",
+        "families.to_b_point",
+    ],
+    "fibration-halving": [
+        "fibration.verify_section",
+        "fibration.halving_quartic",
+        "fibration.height_pairing",
+        "families.delta12_quartic",
+        "binform.BinForm.divexact",
+        "binform.perfect_square_root",
+    ],
+    "recillas-forward": [
+        "recillas.forward",
+        "recillas.s4_to_s3",
+        "recillas.s4_to_s6",
+        "recillas.rh_genus",
+    ],
+    "recillas-reverse": ["recillas.reverse", "recillas.rh_genus"],
+    "recillas-selftest": [
+        "recillas.random_tuple",
+        "recillas.forward",
+        "recillas.roundtrip_check",
+        "recillas.frobenius_count",
+        "recillas.brute_force_tuple_count",
+    ],
+    "z-verify": ["locusz.verify_certificate"],
+    "z-plant": ["locusz.plant", "locusz.verify_certificate"],
+    "z-search": ["locusz.decompose_fq", "_kernels.decompose_scan", "binform.is_squarefree"],
+    "z-constants": ["locusz.constants_registry"],
+}
+
+
+def _small_argvs(tmp_path):
+    """One small valid command line per subcommand."""
+    import random as _random
+
+    from cubesquare import fibration, jsonio, locusz, recillas
+    from cubesquare.binform import BinForm
+    from cubesquare.fields import PrimeField
+
+    w, s = fibration.random_planted_model(PrimeField(1009), _random.Random(21))
+    F7 = PrimeField(7)
+    f, g = BinForm(F7, 4, [1, 2, 0, 3, 1]), BinForm(F7, 6, [2, 0, 1, 1, 0, 5, 3])
+    cert = locusz.plant(f, g)
+    t = recillas.random_tuple(4, 12, seed=11)
+    triple, sextic = recillas.forward(t)
+    system = {
+        "generators": [{"h": 1, "e": [0] * 9}],
+        "constraints": [{"dot_with": {"h": 1, "e": [0] * 9}, "equals": 2}, {"genus": 0}],
+    }
+    return {
+        "selftest": ["selftest", "--trials", "5"],
+        "e8-report": ["e8-report"],
+        "picard-solve": ["picard-solve", "--in", _write(tmp_path, "system.json", system)],
+        "picard-report": ["picard-report"],
+        "fibration-info": ["fibration-info", "--in", _write(tmp_path, "w.json", jsonio.model_to_json(w))],
+        "fibration-halving": [
+            "fibration-halving",
+            "--in",
+            _write(
+                tmp_path,
+                "halving.json",
+                {"model": jsonio.model_to_json(w), "section": jsonio.section_to_json(s)},
+            ),
+        ],
+        "recillas-forward": ["recillas-forward", "--in", _write(tmp_path, "t.json", jsonio.tuple_to_json(t))],
+        "recillas-reverse": [
+            "recillas-reverse",
+            "--triple",
+            _write(tmp_path, "triple.json", jsonio.tuple_to_json(triple)),
+            "--lift",
+            _write(tmp_path, "lift.json", jsonio.tuple_to_json(sextic)),
+        ],
+        "recillas-selftest": ["recillas-selftest", "--trials", "5"],
+        "z-verify": [
+            "z-verify",
+            "--cert",
+            _write(
+                tmp_path,
+                "cert.json",
+                {"F": jsonio.form_to_json(cert.form), "point": jsonio.bpoint_to_json(cert.point)},
+            ),
+        ],
+        "z-plant": [
+            "z-plant",
+            "--f",
+            _write(tmp_path, "f.json", jsonio.form_to_json(f)),
+            "--g",
+            _write(tmp_path, "g.json", jsonio.form_to_json(g)),
+        ],
+        "z-search": ["z-search", "--F", _write(tmp_path, "F.json", jsonio.form_to_json(cert.form))],
+        "z-constants": ["z-constants"],
+    }
+
+
+def test_every_subcommand_reaches_its_operations(tmp_path, capsys, monkeypatch):
+    import importlib
+
+    argvs = _small_argvs(tmp_path)
+    assert set(argvs) == set(DISPATCH)
+    for command, ops in REACHES.items():
+        with monkeypatch.context() as patch:
+            calls = {}
+            for op in ops:
+                module, *path = op.split(".")
+                owner = importlib.import_module(f"cubesquare.{module}")
+                for attr in path[:-1]:
+                    owner = getattr(owner, attr)
+                calls[op] = _counting(patch, owner, path[-1])
+            code, out = run_cli(capsys, *argvs[command])
+        assert code == 0, command
+        reports = out.replace("}\n{", "}\x00{").split("\x00")
+        assert all(json.loads(r)["status"] == "ok" for r in reports), command
+        missed = [op for op, seen in calls.items() if not seen]
+        assert not missed, f"{command} did not reach {missed}"
+    # Every computing module of the package is reached by some command.
+    modules = {op.split(".")[0] for ops in REACHES.values() for op in ops}
+    assert modules == {
+        "_kernels", "binform", "e8", "families", "fibration", "locusz", "picard", "poly", "recillas",
+    }

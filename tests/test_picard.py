@@ -92,6 +92,164 @@ def test_solve_class_reports_empty_box():
         solve_class([H], [Constraint("dot", 1000, H)], box=5)
 
 
+def _outcome(solver, gens, cons, box):
+    """The solution list, or the LatticeError message when there is none."""
+    try:
+        return solver(gens, cons, box)
+    except LatticeError as exc:
+        return ("LatticeError", str(exc))
+
+
+def _random_system(rng):
+    """1-3 generators, 0-2 dot and 0-2 genus constraints, box 0-5.
+
+    Half the systems take their values from a planted tuple, so that most
+    of those have solutions; the rest draw them, so that most are empty.
+    """
+    n = rng.randint(1, 3)
+    gens = [DivClass(rng.randint(-2, 2), [rng.randint(-1, 1) for _ in range(9)]) for _ in range(n)]
+    box = rng.randint(0, 5)
+    planted = [rng.randint(-box, box) for _ in range(n)]
+    d = DivClass(0, [0] * 9)
+    for x, g in zip(planted, gens):
+        d = d + g.scale(x)
+    plant = rng.random() < 0.5
+    cons = []
+    for _ in range(rng.randint(0, 2)):
+        target = DivClass(rng.randint(-2, 2), [rng.randint(-1, 1) for _ in range(9)])
+        cons.append(Constraint("dot", dot(d, target) if plant else rng.randint(-3, 3), target))
+    for _ in range(rng.randint(0, 2)):
+        cons.append(Constraint("genus", adjunction_genus(d) if plant else rng.randint(-2, 3)))
+    return gens, cons, box
+
+
+def test_solve_class_matches_the_scan_on_random_systems():
+    rng = random.Random(20240)
+    solved = empty = 0
+    for _ in range(400):
+        gens, cons, box = _random_system(rng)
+        got = _outcome(solve_class, gens, cons, box)
+        assert got == _outcome(picard._solve_class_scan, gens, cons, box), (gens, cons, box)
+        if got[0] == "LatticeError":
+            empty += 1
+        else:
+            solved += 1
+    assert solved >= 100 and empty >= 100, (solved, empty)
+
+
+@pytest.mark.parametrize("box", range(9, 21))
+def test_solve_class_matches_the_scan_on_the_halving_systems(box):
+    for gens, cons, _ in picard.halving_class_systems().values():
+        assert solve_class(gens, cons, box) == picard._solve_class_scan(gens, cons, box)
+
+
+# Named degenerate systems: (generators, constraints, box, expected outcome).
+DEGENERATE_SYSTEMS = {
+    "inconsistent dot rows": (
+        [H, E(1)],
+        [Constraint("dot", 1, H), Constraint("dot", 2, H)],
+        3,
+        None,
+    ),
+    "rational but not integral": ([H.scale(2)], [Constraint("dot", 1, H)], 3, None),
+    "dependent dot rows": (
+        [H, E(1), E(2)],
+        [Constraint("dot", 2, H), Constraint("dot", 4, H.scale(2)), Constraint("genus", 0)],
+        3,
+        # 2H + bE1 + cE2 has genus 0 when b(b + 1) + c(c + 1) = 0.
+        [(2, -1, -1), (2, -1, 0), (2, 0, -1), (2, 0, 0)],
+    ),
+    "no dot constraint": (
+        [H, E(1)],
+        [Constraint("genus", 0)],
+        2,
+        # aH + bE1 has genus 0 when (a - 1)(a - 2) = b(b + 1).
+        [(-1, 2), (0, -2), (0, 1), (1, -1), (1, 0), (2, -1), (2, 0)],
+    ),
+    "full rank, no genus": (
+        [H, E(1)],
+        [Constraint("dot", 3, H), Constraint("dot", 1, E(1))],
+        4,
+        [(3, -1)],
+    ),
+    # FIBER is null and orthogonal to K and to E1 - E2: along it the genus
+    # quadratic is constant on every line, so that coordinate is enumerated.
+    "genus constant along the line": (
+        [E(1) - E(2), FIBER],
+        [Constraint("genus", 0)],
+        2,
+        [(-1, b) for b in range(-2, 3)] + [(1, b) for b in range(-2, 3)],
+    ),
+    # (aH + bF)^2 + (aH + bF).K = a(a + 6b - 3): constant only on a = 0.
+    "genus constant on one line only": (
+        [H, FIBER],
+        [Constraint("genus", 1)],
+        3,
+        [(-3, 1)] + [(0, b) for b in range(-3, 4)] + [(3, 0)],
+    ),
+    "two genus targets that disagree": (
+        [H, E(1)],
+        [Constraint("genus", 0), Constraint("genus", 1)],
+        3,
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_SYSTEMS))
+def test_solve_class_degenerate_systems(name):
+    gens, cons, box, expected = DEGENERATE_SYSTEMS[name]
+    got = _outcome(solve_class, gens, cons, box)
+    assert got == _outcome(picard._solve_class_scan, gens, cons, box)
+    if expected is None:
+        assert got == ("LatticeError", f"no solution with coefficients in [-{box}, {box}]")
+    else:
+        assert got == expected
+
+
+def test_solve_class_parity_rule(monkeypatch):
+    # K is characteristic (all its coefficients are odd), so D.D + D.K is
+    # even for every class and the parity rule cannot bite on the real
+    # lattice.  With K replaced by 0 the adjunction sum is D.D, which can be
+    # odd, and (D.D) // 2 + 1 would then round a wrong class onto the target.
+    monkeypatch.setattr(picard, "K", DivClass(0, [0] * 9))
+    # D.D = x^2: genus 1 needs x = 0; x = +-1 has the odd sum 1.
+    for solver in (solve_class, picard._solve_class_scan):
+        assert solver([H], [Constraint("genus", 1)], 3) == [(0,)]
+    # D = -E2 + s(H + E1) has D.D = -1 on the whole line: genus 0 only by
+    # rounding, so there is no solution.
+    gens = [E(2), H + E(1)]
+    cons = [Constraint("dot", 1, E(2)), Constraint("genus", 0)]
+    for solver in (solve_class, picard._solve_class_scan):
+        with pytest.raises(LatticeError, match="no solution"):
+            solver(gens, cons, 3)
+
+
+def test_solve_class_at_a_large_box():
+    box = 10**6
+    solutions = {}
+    for name, (gens, cons, _) in picard.halving_class_systems().items():
+        solutions[name] = solve_class(gens, cons, box)
+        for xs in solutions[name]:
+            assert all(abs(x) <= box for x in xs)
+            d = DivClass(0, [0] * 9)
+            for x, g in zip(xs, gens):
+                d = d + g.scale(x)
+            assert all(c.satisfied(d) for c in cons), (name, xs)
+    assert solutions == {
+        "quartic_cover": [(6, 0, -2)],
+        "two_torsion": [(9, -3, 0)],
+        "quintic_triple_point": [(5, -3, -1), (37, -3, -13)],
+    }
+
+
+def test_solve_class_rejects_an_enumeration_over_the_cap():
+    with pytest.raises(picard.EnumerationTooLarge, match="over the cap"):
+        solve_class([H], [], box=10**8)
+    # Fixing the one coordinate leaves nothing to enumerate.
+    assert solve_class([H], [Constraint("dot", 7, H)], box=10**8) == [(7,)]
+
+
 def test_completing_the_square_identities():
     # eliminating the second unknown from {3a + 7c = 4, a^2 - 7c^2 = 8}
     # leaves -14 (a - 6)^2; from {3a + 8b = 3, a^2 - 8b^2 = 9}, -8 (a - 9)^2.
