@@ -14,12 +14,20 @@ must then satisfy
 
 For d >= 4, R is affine in t: t^2 first appears in f^3 at coefficient
 2d > k, and the g_i that involve t (i >= d) never pair up to index k.  For
-d = 2 it is quadratic.  One vectorised pass over the q^d prefixes
-f0..f_{d-1} evaluates R at t = 0, 1 (and 2 when d = 2) and interpolates it,
-so each prefix yields 0, 1 or 2 values of fd.  All q values pass on from
-a prefix on which R vanishes identically, and from the degenerate slice
-C0 = 0 (f0^3 = F0, at most three values of f0), where the recurrence would
-start lower.  A nonzero non-square C0 passes none on.
+d = 2 it is quadratic.  C0 depends on f0 alone, so the vectorised prefix
+pass keeps only the prefixes f0..f_{d-1} whose C0 is a nonzero square,
+about half of the q^d; a nonzero non-square C0 passes nothing on.  On those
+it builds C_m (m < d) and g_0..g_{d-1}, which do not involve t, once, then
+redoes the steps from index d on at t = 0, 1 (and 2 when d = 2) and
+interpolates R, so each prefix yields 0, 1 or 2 values of fd.  All q values
+pass on from a prefix on which R vanishes identically.
+
+The degenerate slice C0 = 0 (f0^3 = F0, at most three values of f0) is
+solved apart.  A square cannot start at an odd index, so C1 = F1 - 3 f0^2 f1
+must vanish too: with f0 != 0 that fixes f1, and with f0 = 0 (so F0 = 0)
+the slice survives only when F1 = 0, with f1 free.  f2..fd stay free, so
+the slice passes on (cube roots of F0) * q^(d-1) candidates, or q^d when
+F0 = F1 = 0 (y^2 divides F, which is then not squarefree).
 
 The elimination only prunes.  Every surviving candidate goes through the
 full perfect-square test on all 3d + 1 coefficients of C, the test the
@@ -122,75 +130,111 @@ def _digits(idx: np.ndarray, q: int, n: int) -> list:
     return out
 
 
-def _residual_columns(q: int, F: np.ndarray, c: list, n: int) -> list:
-    """C[m] = F[m] - (f^3)[m] mod q for m < n; c holds the digit columns of f."""
-    d = len(c) - 1
-    s = []
-    for m in range(min(n, 2 * d + 1)):
-        acc = np.zeros_like(c[0])
-        for u in range(max(0, m - d), min(d, m) + 1):
-            acc += c[u] * c[m - u]
-        s.append(acc % q)
+def _conv(q: int, a: list, b: list, n: int) -> list:
+    """(a * b)[m] mod q for m < n, for lists of coefficient columns."""
     out = []
     for m in range(n):
-        acc = np.zeros_like(c[0])
-        for u in range(max(0, m - d), min(2 * d, m) + 1):
-            acc += s[u] * c[m - u]
-        out.append((int(F[m]) - acc) % q)
+        acc = np.zeros_like(a[0])
+        for u in range(max(0, m - len(b) + 1), min(len(a) - 1, m) + 1):
+            acc += a[u] * b[m - u]
+        out.append(acc % q)
     return out
 
 
-def _prefix_residuals(q: int, F: np.ndarray, d: int, table, inv):
-    """C0 and the coefficients (a, b, c) of R(t) = a + b t + c t^2 for every
-    prefix f0..f_{d-1}, indexed f0 + f1 q + ... + f_{d-1} q^(d-1).
+def _residual_columns(q: int, F: np.ndarray, c: list, n: int) -> list:
+    """C[m] = F[m] - (f^3)[m] mod q for m < n; c holds the digit columns of f."""
+    cube = _conv(q, _conv(q, c, c, min(n, 2 * len(c) - 1)), c, n)
+    return [(int(F[m]) - cube[m]) % q for m in range(n)]
 
-    R is meaningful only where C0 is a nonzero square.
+
+def _recurrence_residual(q: int, C, gam: list, i: int):
+    """C_i - (g_1 g_(i-1) + ... + g_(i-1) g_1) mod q: 2 g_0 g_i when i < k,
+    R when i = k."""
+    acc = C.copy()
+    for u in range(1, i):
+        acc -= gam[u] * gam[i - u]
+    return acc % q
+
+
+def _prefix_residuals(q: int, F: np.ndarray, d: int, table, inv):
+    """The prefixes f0..f_{d-1} on which C0 is a nonzero square, as indices
+    f0 + f1 q + ... + f_{d-1} q^(d-1), and on each the coefficients (a, b, c)
+    of R(t) = a + b t + c t^2.
+
+    C0 = F0 - f0^3 depends on f0 alone, so the prefixes kept are those whose
+    f0 makes it a nonzero square: about half of the q^d.  With p the prefix
+    and t = fd, f = p + t y^d and f^3 = p^3 + 3t y^d p^2 + 3t^2 y^(2d) p +
+    t^3 y^(3d), so C_m for m < d, and with it g_0..g_(d-1), does not involve
+    t.  They are built once; only the steps from index d on are redone at
+    each t.
     """
     k = 3 * d // 2 + 1
-    c = _digits(np.arange(q**d, dtype=np.int64), q, d)
-    c0 = (int(F[0]) - c[0] * c[0] % q * c[0]) % q
-    g0 = table[c0]
-    inv2g0 = inv[2 * np.maximum(g0, 0) % q]
+    f0 = np.arange(q, dtype=np.int64)
+    c0 = (int(F[0]) - f0 * f0 % q * f0) % q
+    square = np.nonzero((c0 != 0) & (table[c0] >= 0))[0]
+    prefix = (square + q * np.arange(q ** (d - 1), dtype=np.int64)[:, None]).ravel()
+    c = _digits(prefix, q, d)
+    s = _conv(q, c, c, min(k + 1, 2 * d - 1))
+    C = [(int(F[m]) - x) % q for m, x in enumerate(_conv(q, s, c, k + 1))]
+    g0 = table[C[0]]
+    inv2g0 = inv[2 * g0 % q]
+    gam = [g0]
+    for i in range(1, d):
+        gam.append(_recurrence_residual(q, C[i], gam, i) * inv2g0 % q)
     values = []
     for t in range(3 if d == 2 else 2):
-        C = _residual_columns(q, F, c + [np.full_like(c0, t)], k + 1)
-        gam = [g0]
-        for i in range(1, k):
-            acc = C[i].copy()
-            for u in range(1, i):
-                acc -= gam[u] * gam[i - u]
-            gam.append(acc % q * inv2g0 % q)
-        acc = C[k].copy()
-        for u in range(1, k):
-            acc -= gam[u] * gam[k - u]
-        values.append(acc % q)
+        Ct = C[:d]
+        for m in range(d, k + 1):
+            shift = 3 * t * s[m - d] + (3 * t * t * c[m - 2 * d] if m >= 2 * d else 0)
+            Ct.append((C[m] - shift) % q)
+        g = gam[:]
+        for i in range(d, k):
+            g.append(_recurrence_residual(q, Ct[i], g, i) * inv2g0 % q)
+        values.append(_recurrence_residual(q, Ct[k], g, k))
     r0, r1 = values[:2]
     cc = np.zeros_like(r0)
     if d == 2:
         cc = (values[2] - 2 * r1 + r0) % q * ((q + 1) // 2) % q
     b = (r1 - r0 - cc) % q
-    return c0, r0, b, cc
+    return prefix, r0, b, cc
+
+
+def _slice_candidates(q: int, F: np.ndarray, d: int, inv) -> list:
+    """Indices of the candidates on the slice C0 = F0 - f0^3 = 0.
+
+    A square cannot start at an odd index, so C1 = F1 - 3 f0^2 f1 must vanish
+    as well.  With f0 != 0 that fixes f1; with f0 = 0 (so F0 = 0) it asks
+    F1 = 0 and then leaves f1 free.  f2..fd stay free.
+    """
+    out = []
+    for f0 in range(q):
+        if (f0**3 - int(F[0])) % q:
+            continue
+        if f0:
+            f1 = int(F[1]) * int(inv[3 * f0 * f0 % q]) % q
+            out.append(f0 + q * f1 + q * q * np.arange(q ** (d - 1), dtype=np.int64))
+        elif F[1] == 0:
+            out.append(q * np.arange(q**d, dtype=np.int64))
+    return out
 
 
 def _candidates(q: int, F: np.ndarray, d: int, table, inv) -> np.ndarray:
     """Indices of the candidates f that survive the elimination of fd."""
-    c0, a, b, c = _prefix_residuals(q, F, d, table, inv)
-    prefix = np.arange(q**d, dtype=np.int64)
-    square = (c0 != 0) & (table[c0] >= 0)
-    every = (c0 == 0) | (square & (a == 0) & (b == 0) & (c == 0))
+    prefix, a, b, c = _prefix_residuals(q, F, d, table, inv)
+    every = (a == 0) & (b == 0) & (c == 0)
 
     r = table[(b * b - 4 * a % q * c) % q]
-    quad = square & (c != 0) & (r >= 0)
+    quad = (c != 0) & (r >= 0)
     two = quad & (r != 0)
     inv2c = inv[2 * c % q]
     root1 = (r - b) % q * inv2c % q
     root2 = (-r - b) % q * inv2c % q
 
-    lin = square & (c == 0) & (b != 0)
+    lin = (c == 0) & (b != 0)
     root_lin = -a % q * inv[b] % q
 
     step = q**d
-    parts = [
+    parts = _slice_candidates(q, F, d, inv) + [
         (prefix[every, None] + step * np.arange(q, dtype=np.int64)).ravel(),
         prefix[quad] + step * root1[quad],
         prefix[two] + step * root2[two],
@@ -263,10 +307,13 @@ def decompose_scan(q: int, F_desc, d: int, lo: int = 0, hi: int | None = None):
     the canonical square root (its leading value is the smaller residue).
     The companion pair (f, -g) is implied.  Only pairs whose index
     f0 + f1 q + ... + fd q^d lies in [lo, hi) are returned; every call makes
-    the full q^d prefix pass.  Results are sorted.
+    the whole prefix pass.  Results are sorted.  q is a prime of at least 5:
+    the scan divides by 2 and by 3.
     """
     if d < 2 or d % 2:
         raise ValueError("coefficient degree must be even and at least 2")
+    if q < 5:
+        raise ValueError("the scan needs q >= 5: it divides by 2 and by 3")
     total = q ** (d + 1)
     if hi is None:
         hi = total

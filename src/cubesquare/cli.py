@@ -42,6 +42,15 @@ EXIT_INPUT = 2
 # accepted does not depend on the machine.
 MAX_JOBS = 8
 
+# Upper bound of --trials in selftest and recillas-selftest.  Each trial is a
+# few milliseconds of round trips, so the cap keeps a run under a minute.
+MAX_TRIALS = 10_000
+
+
+def _check_trials(trials) -> None:
+    if trials is not None and not 0 <= trials <= MAX_TRIALS:
+        raise SchemaError(f"--trials: need 0..{MAX_TRIALS}, got {trials}")
+
 
 def _load_json(path: str, where: str):
     try:
@@ -65,6 +74,7 @@ def _emit(report: dict, out_path: str | None) -> None:
 
 
 def cmd_selftest(args) -> int:
+    _check_trials(args.trials)
     results = selftest.run_all(
         trials=args.trials, seed=args.seed, fault=args.inject_fault
     )
@@ -128,7 +138,7 @@ def cmd_picard_solve(args) -> int:
 
 def cmd_picard_report(args) -> int:
     solves = picard.solve_halving_classes()
-    recon = picard.reconstruct_e0([picard.E(i) for i in range(1, 9)])
+    recon = picard.standard_zero_base_class()
     sections = picard.enumerate_minimal_sections()
     payload = {
         "minimal_sections": len(sections),
@@ -229,6 +239,7 @@ def cmd_recillas_reverse(args) -> int:
 def cmd_recillas_selftest(args) -> int:
     import random
 
+    _check_trials(args.trials)
     rng = random.Random(args.seed)
     good = 0
     for _ in range(args.trials):
@@ -339,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("selftest", help="run the acceptance suites")
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=int, default=None, help=f"0..{MAX_TRIALS}")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
@@ -371,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("recillas-selftest", help="round-trip property runner")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=int, default=100, help=f"0..{MAX_TRIALS}")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out")
 

@@ -663,6 +663,14 @@ def reconstruct_e0(octuple) -> DivClass:
     return sols[0]
 
 
+@lru_cache(maxsize=None)
+def standard_zero_base_class() -> DivClass:
+    """E0 as ``reconstruct_e0`` recovers it from the standard octuple E1..E8.
+
+    A constant of the lattice, so it runs once per process."""
+    return reconstruct_e0([E(i) for i in range(1, 9)])
+
+
 def _extended_gcd(a: int, b: int):
     old_r, r = a, b
     old_s, s = 1, 0

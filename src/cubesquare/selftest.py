@@ -240,6 +240,25 @@ def locus_verdict(verdicts) -> dict:
     }
 
 
+def planted_verdicts(q: int, plants: int, seed: int) -> list:
+    """(f, g, ``locusz.plant_verdict``) for ``plants`` seeded uniform plants
+    f^3 + g^2 over F_q with a valid certificate, each scanned in full."""
+    field = PrimeField(q)
+    rng = random.Random(seed)
+    out = []
+    while len(out) < plants:
+        f = BinForm(field, 4, [rng.randrange(q) for _ in range(5)])
+        g = BinForm(field, 6, [rng.randrange(q) for _ in range(7)])
+        try:
+            cert = locusz.plant(f, g)
+        except upoly.PolyError:
+            continue
+        if not locusz.verify_certificate(cert)["valid"]:
+            continue
+        out.append((f, g, locusz.planted_scan_report(cert)))
+    return out
+
+
 @_suite("locus-birationality", budget=300.0)
 def criterion_locus(plants: int = 100, seed: int = 1):
     """Birationality of (f, g) -> f^3 + g^2 onto the locus (B), modulo
@@ -274,36 +293,26 @@ def criterion_locus(plants: int = 100, seed: int = 1):
     midpoint of 1 and 3/2; at 100 plants a mean of 3/2 sits about five
     standard deviations (0.05) above it.  Its limit: a sheet defined only
     over F_q(w) has no component of W' fixed by Frobenius when q = 2 (mod 3),
-    as q = 11 is, and would not show here.
+    as q = 11 is, and would not show here.  The test suite runs the same
+    exact per-plant checks on 30 plants over F_13, 13 = 1 (mod 3), with the
+    orbit total reported and no bound asserted there.
 
     Asserted: ``locus_verdict`` over every plant's exact
     ``locusz.plant_verdict``, the bound above, and the two known orbits of
     the F_13 power form x^12 + y^12.  Every non-unique plant is listed with
     its extra orbits.
     """
-    field = PrimeField(11)
-    rng = random.Random(seed)
-    verdicts = []
-    non_unique = []
-    while len(verdicts) < plants:
-        f = BinForm(field, 4, [rng.randrange(11) for _ in range(5)])
-        g = BinForm(field, 6, [rng.randrange(11) for _ in range(7)])
-        try:
-            cert = locusz.plant(f, g)
-        except upoly.PolyError:
-            continue
-        if not locusz.verify_certificate(cert)["valid"]:
-            continue
-        verdict = locusz.planted_scan_report(cert)
-        verdicts.append(verdict)
-        if verdict["extra_orbits"]:
-            non_unique.append(
-                {
-                    "f": [int(c) for c in f.coeffs],
-                    "g": [int(c) for c in g.coeffs],
-                    "extra_orbits": verdict["extra_orbits"],
-                }
-            )
+    planted = planted_verdicts(11, plants, seed)
+    verdicts = [v for _, _, v in planted]
+    non_unique = [
+        {
+            "f": [int(c) for c in f.coeffs],
+            "g": [int(c) for c in g.coeffs],
+            "extra_orbits": v["extra_orbits"],
+        }
+        for f, g, v in planted
+        if v["extra_orbits"]
+    ]
 
     f13 = PrimeField(13)
     power_form = BinForm(f13, 12, [1] + [0] * 11 + [1])

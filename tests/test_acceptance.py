@@ -78,6 +78,20 @@ def test_criterion_6_locus_birationality():
     assert res["passed"] and res["within_budget"]
 
 
+def test_criterion_6_exact_checks_at_f13(record_property):
+    # q = 13 = 1 (mod 3), so a second sheet defined only over F_13(w) would
+    # show here, where it cannot at F_11.  Only the exact per-plant checks are
+    # asserted; no orbit bound is derived for q = 13, so the total is reported.
+    verdicts = [v for _, _, v in selftest.planted_verdicts(13, 30, seed=1)]
+    orbits = sum(v["orbits"] for v in verdicts)
+    print(f"ACCEPTANCE locus-birationality at F_13: {orbits} orbits over {len(verdicts)} plants")
+    record_property("orbits_over_30_plants", orbits)
+    assert len(verdicts) == 30
+    assert all(v["planted_once"] for v in verdicts)
+    assert all(v["extras_recompose"] for v in verdicts)
+    assert all(v["extras_not_translates"] for v in verdicts)
+
+
 def test_criterion_7_registry_constants():
     res = _report(selftest.criterion_registry())
     checks = res["details"]["checks"]

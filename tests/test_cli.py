@@ -184,6 +184,16 @@ def test_z_search_rejects_jobs_outside_cap(tmp_path, capsys):
         assert "--jobs" in json.loads(out)["error"]["message"]
 
 
+@pytest.mark.parametrize("command", ["selftest", "recillas-selftest"])
+def test_trials_outside_cap_exit_2(capsys, command):
+    for trials in (-1, cli.MAX_TRIALS + 1):
+        code, out = run_cli(capsys, command, "--trials", str(trials))
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["status"] == "error"
+        assert "--trials" in doc["error"]["message"]
+
+
 def test_z_constants(capsys):
     code, out = run_cli(capsys, "z-constants")
     assert code == 0
@@ -432,6 +442,15 @@ def test_warm_picard_report_makes_no_height_calls(capsys, monkeypatch):
     assert heights == []
 
 
+def test_warm_picard_report_reconstructs_no_zero_base_class(capsys, monkeypatch):
+    from cubesquare import picard
+
+    assert run_cli(capsys, "picard-report")[0] == 0
+    reconstructions = _counting(monkeypatch, picard, "reconstruct_e0")
+    assert run_cli(capsys, "picard-report")[0] == 0
+    assert reconstructions == []
+
+
 def test_repeated_picard_reports_rerun_no_isometry_check(capsys, monkeypatch):
     # verify_isometry and mod2_section_classes read the isometry and then
     # project each class (mw_image) or reduce each root (mod2_key); a rerun
@@ -580,7 +599,7 @@ REACHES = {
         "picard.verify_isometry",
         "picard.mod2_section_classes",
         "picard.pairings_against_first_section",
-        "picard.reconstruct_e0",
+        "picard.standard_zero_base_class",
         "picard.dot",
         "picard.adjunction_genus",
     ],

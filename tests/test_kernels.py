@@ -68,10 +68,70 @@ def test_degenerate_leading_slice_matches_reference(q, d):
     rng = random.Random(q * 100 + d)
     f, form = _plant(q, d, rng, leading_g=0)
     coeffs = [int(c) for c in form.coeffs]
-    assert f[0] and sum(pow(x, 3, q) == coeffs[0] for x in range(q)) == (3 if q % 3 == 1 else 1)
+    roots = [x for x in range(q) if pow(x, 3, q) == coeffs[0]]
+    assert f[0] and len(roots) == (3 if q % 3 == 1 else 1)
     hits = _kernels.decompose_scan(q, coeffs, d)
     assert hits == _reference(q, coeffs, d)
     assert tuple(f) in {fr for fr, _ in hits}
+    # On the slice the full test needs C1 = F1 - 3 f0^2 f1 = 0 too, which
+    # fixes f1 for each (nonzero) cube root f0 of F0.
+    F = np.asarray(coeffs, dtype=np.int64)
+    idx = _kernels._candidates(q, F, d, _kernels.sqrt_table(q), _kernels._inverse_table(q))
+    on_slice = idx[np.isin(idx % q, roots)]
+    assert on_slice.size <= len(roots) * q ** (d - 1)
+    assert _index(q, f) in set(on_slice.tolist())
+
+
+def _plant_unreduced(q, d, rng, f0, g0):
+    """f^3 + g^2 over F_q with the leading coefficients f0 and g0, squarefree
+    or not."""
+    field = PrimeField(q)
+    f = [f0] + [rng.randrange(q) for _ in range(d)]
+    g = [g0] + [rng.randrange(q) for _ in range(3 * d // 2)]
+    form = BinForm(field, d, f) ** 3 + BinForm(field, 3 * d // 2, g) ** 2
+    return f, [int(c) for c in form.coeffs]
+
+
+@pytest.mark.parametrize("q,d", [(5, 4), (7, 4), (11, 2), (13, 2)])
+def test_slice_with_vanishing_leading_target_matches_reference(q, d):
+    # F0 = 0 puts f0 = 0 on the slice C0 = 0, where C1 = F1 leaves f1 free
+    # when F1 = 0 and passes nothing on otherwise.
+    rng = random.Random(q * 1000 + d)
+    # f0 = g0 = 0 gives F0 = F1 = 0 (y^2 divides F), with the plant on the slice.
+    f, coeffs = _plant_unreduced(q, d, rng, 0, 0)
+    assert coeffs[:2] == [0, 0]
+    hits = _kernels.decompose_scan(q, coeffs, d)
+    assert hits == _reference(q, coeffs, d)
+    assert tuple(f) in {fr for fr, _ in hits}
+    # f0^3 = -g0^2 != 0 gives F0 = 0 with the plant off the slice; keep F1 != 0.
+    f0, g0 = next((a, b) for a in range(1, q) for b in range(1, q) if (a**3 + b * b) % q == 0)
+    while True:
+        f, coeffs = _plant_unreduced(q, d, rng, f0, g0)
+        if coeffs[1]:
+            break
+    assert coeffs[0] == 0
+    hits = _kernels.decompose_scan(q, coeffs, d)
+    assert hits == _reference(q, coeffs, d)
+    assert tuple(f) in {fr for fr, _ in hits}
+    assert not any(fr[0] == 0 for fr, _ in hits)
+
+
+def test_prefix_pass_keeps_the_square_leading_residuals():
+    q, d = 7, 4
+    rng = random.Random(6)
+    _, form = _random_target(q, d, rng)
+    F = np.asarray([int(c) for c in form.coeffs], dtype=np.int64)
+    table, inv = _kernels.sqrt_table(q), _kernels._inverse_table(q)
+    prefix, a, b, c = _kernels._prefix_residuals(q, F, d, table, inv)
+    c0 = [(int(F[0]) - (p % q) ** 3) % q for p in range(q**d)]
+    assert sorted(prefix.tolist()) == [p for p in range(q**d) if c0[p] and table[c0[p]] >= 0]
+    assert a.shape == b.shape == c.shape == prefix.shape
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_scan_rejects_fields_below_five(q):
+    with pytest.raises(ValueError, match="q >= 5"):
+        _kernels.decompose_scan(q, [1] + [0] * 11 + [1], 4)
 
 
 @pytest.mark.parametrize("q,d", [(5, 4), (7, 4), (13, 2)])
@@ -93,8 +153,8 @@ def test_identically_vanishing_residual_matches_reference(q, d, coeffs):
     # On some prefixes with a nonzero square C0 the constraint R(t) is the zero
     # polynomial, so every value of the last coefficient goes to the full test.
     table, inv = _kernels.sqrt_table(q), _kernels._inverse_table(q)
-    c0, a, b, c = _kernels._prefix_residuals(q, np.asarray(coeffs, dtype=np.int64), d, table, inv)
-    vanishing = (c0 != 0) & (table[c0] >= 0) & (a == 0) & (b == 0) & (c == 0)
+    prefix, a, b, c = _kernels._prefix_residuals(q, np.asarray(coeffs, dtype=np.int64), d, table, inv)
+    vanishing = (a == 0) & (b == 0) & (c == 0)
     assert vanishing.any()
     assert _kernels.decompose_scan(q, coeffs, d) == _reference(q, coeffs, d)
 
