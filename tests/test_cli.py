@@ -416,6 +416,61 @@ def test_inputless_reports_are_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
+def _form(field, *coeffs):
+    return {"degree": len(coeffs) - 1, "field": field, "coeffs": list(coeffs)}
+
+
+_Q = {"kind": "Q"}
+_F1009 = {"kind": "Fp", "p": 1009}
+
+# One planted model with a section per field: over Q with non-integral
+# coefficients, over F_1009 the seed-21 draw of ``random_planted_model``.
+PINNED_HALVING_INPUTS = {
+    "Q": {
+        "model": {
+            "a": _form(_Q, "1", "0", "-2", "1", "3"),
+            "b": _form(_Q, "-9", "13", "-47/6", "9", "-62/9", "21/4", "59/8"),
+        },
+        "section": {
+            "x_num": _form(_Q, "2", "-1", "1/2"),
+            "x_den_sqrt": _form(_Q, "1"),
+            "y_num": _form(_Q, "1", "0", "1/3", "3"),
+        },
+    },
+    "F1009": {
+        "model": {
+            "a": _form(_F1009, "863", "221", "811", "486", "827"),
+            "b": _form(_F1009, "113", "751", "624", "955", "778", "353", "520"),
+        },
+        "section": {
+            "x_num": _form(_F1009, "706", "428", "168"),
+            "x_den_sqrt": _form(_F1009, "1"),
+            "y_num": _form(_F1009, "490", "288", "650", "428"),
+        },
+    },
+}
+
+# The fibration reports on those inputs, byte for byte.
+FIBRATION_REPORT_SHA256 = {
+    ("fibration-info", "Q"): "f118d0687a3b81b36a3cff57a3d64ca58630f53b01c4fd715c53e660ccca5ea8",
+    ("fibration-halving", "Q"): "584d092479fe6c2062129a524671fb6b6d83a0bc9a08bc6cdbe512f1e789074f",
+    ("fibration-info", "F1009"): "a09ca06e30a31be71070f097e0a2f5efe343e564ac4648520037e9e1568db6ad",
+    ("fibration-halving", "F1009"): "859cc9cd45739b3da6591b14679a4b6bfa6ce0f1aa09a4b315dbd3fdf471346c",
+}
+
+
+def test_fibration_reports_are_pinned(tmp_path, capsys):
+    import hashlib
+
+    for (command, field), digest in FIBRATION_REPORT_SHA256.items():
+        doc = PINNED_HALVING_INPUTS[field]
+        if command == "fibration-info":
+            doc = doc["model"]
+        code, out = run_cli(capsys, command, "--in", _write(tmp_path, "in.json", doc))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, field)
+
+
 def test_main_builds_no_parser(capsys, monkeypatch):
     built = _counting(monkeypatch, cli, "build_parser")
     for _ in range(2):
