@@ -73,51 +73,35 @@ class BinForm:
         F = same_field(self.field, other.field)
         if self.degree != other.degree:
             raise PolyError("adding forms of different degrees")
-        return BinForm(F, self.degree, [F.add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
+        return BinForm(F, self.degree, poly.add(self.coeffs, other.coeffs))
 
     def __neg__(self):
-        return BinForm(self.field, self.degree, [self.field.neg(c) for c in self.coeffs])
+        return BinForm(self.field, self.degree, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         F = same_field(self.field, other.field)
-        d = self.degree + other.degree
-        out = [F.zero()] * (d + 1)
-        for i, a in enumerate(self.coeffs):
-            if F.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return BinForm(F, d, out)
+        return BinForm(F, self.degree + other.degree, poly.convolve(self.coeffs, other.coeffs))
 
     def scale(self, c):
-        F = self.field
-        c = F.coerce(c)
-        return BinForm(F, self.degree, [F.mul(a, c) for a in self.coeffs])
+        c = self.field.coerce(c)
+        return BinForm(self.field, self.degree, [a * c for a in self.coeffs])
 
     def __pow__(self, n: int):
-        out = BinForm.constant(self.field, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return BinForm(self.field, self.degree * n, poly.power(self.coeffs, n))
 
     def __call__(self, x0, y0):
         F = self.field
         x0, y0 = F.coerce(x0), F.coerce(y0)
         # Horner in x with an accumulated power of y.
-        acc = F.zero()
-        yp = F.one()
-        for i, c in enumerate(self.coeffs):
-            acc = F.add(F.mul(acc, x0), F.mul(c, yp))
-            if i < self.degree:
-                yp = F.mul(yp, y0)
-        return acc
+        acc = 0
+        yp = 1
+        for c in self.coeffs:
+            acc = acc * x0 + c * yp
+            yp *= y0
+        return F.coerce(acc)
 
     def y_multiplicity(self) -> int:
         """Multiplicity of the root (1:0), i.e. the power of y dividing the form."""

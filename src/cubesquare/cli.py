@@ -5,8 +5,9 @@ are pure functions of (argv, input documents): no clocks, no environment,
 stable key order.  The optional --jobs flag shards the exhaustive scan
 (``locusz.decompose_fq``, which selftest runs too) by candidate range; the
 orbits are grouped from the merged hits, so the output is independent of the
-job count.  Each shard repeats the scan's q^d prefix pass, so jobs buy
-little; --jobs takes 1..MAX_JOBS.
+job count.  Each shard repeats the scan's whole prefix pass (over the prefixes
+whose C0 = F0 - f0^3 is a nonzero square, with the C0 = 0 slice solved apart),
+so jobs buy little; --jobs takes 1..MAX_JOBS.
 """
 
 from __future__ import annotations
@@ -43,13 +44,14 @@ EXIT_INPUT = 2
 MAX_JOBS = 8
 
 # Upper bound of --trials in selftest and recillas-selftest.  Each trial is a
-# few milliseconds of round trips, so the cap keeps a run under a minute.
+# few milliseconds of round trips, so the cap keeps a run under a minute.  The
+# lower bound is 1: a run without round trips can pass neither suite.
 MAX_TRIALS = 10_000
 
 
 def _check_trials(trials) -> None:
-    if trials is not None and not 0 <= trials <= MAX_TRIALS:
-        raise SchemaError(f"--trials: need 0..{MAX_TRIALS}, got {trials}")
+    if trials is not None and not 1 <= trials <= MAX_TRIALS:
+        raise SchemaError(f"--trials: need 1..{MAX_TRIALS}, got {trials}")
 
 
 def _load_json(path: str, where: str):
@@ -252,7 +254,12 @@ def cmd_recillas_selftest(args) -> int:
         good += 1
     frob = {k: recillas.frobenius_count(4, k) for k in range(0, 5)}
     brute = {k: recillas.brute_force_tuple_count(4, k) for k in range(0, 5)}
-    ok = frob == brute and good > 0
+    if frob != brute:
+        failure = "frobenius mismatch"
+    elif not good:
+        failure = f"no round trip among {args.trials} trials"
+    else:
+        failure = None
     payload = {
         "roundtrips_verified": good,
         "trials": args.trials,
@@ -263,11 +270,11 @@ def cmd_recillas_selftest(args) -> int:
         "recillas-selftest",
         payload,
         [args.trials, args.seed],
-        status="ok" if ok else "error",
-        error=None if ok else {"code": 1, "message": "frobenius mismatch"},
+        status="error" if failure else "ok",
+        error={"code": 1, "message": failure} if failure else None,
     )
     _emit(report, args.out)
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_FAIL if failure else EXIT_OK
 
 
 def cmd_z_verify(args) -> int:
@@ -350,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("selftest", help="run the acceptance suites")
-    p.add_argument("--trials", type=int, default=None, help=f"0..{MAX_TRIALS}")
+    p.add_argument("--trials", type=int, default=None, help=f"1..{MAX_TRIALS}")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
@@ -382,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("recillas-selftest", help="round-trip property runner")
-    p.add_argument("--trials", type=int, default=100, help=f"0..{MAX_TRIALS}")
+    p.add_argument("--trials", type=int, default=100, help=f"1..{MAX_TRIALS}")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out")
 

@@ -123,10 +123,15 @@ def u_invariants_quartic(fam: QuarticFamily):
     return u2, u3
 
 
+def weierstrass_discriminant(u: BinForm, v: BinForm) -> BinForm:
+    """4 u^3 + 27 v^2: the discriminant form of Y^2 = X^3 + u X + v, a cube
+    plus a square."""
+    return (u ** 3).scale(4) + (v * v).scale(27)
+
+
 def delta12_quartic(fam: QuarticFamily) -> BinForm:
     """4 u2^3 + 27 u3^2 for the quartic family."""
-    u2, u3 = u_invariants_quartic(fam)
-    return (u2 ** 3).scale(4) + (u3 * u3).scale(27)
+    return weierstrass_discriminant(*u_invariants_quartic(fam))
 
 
 def u_invariants_cubic(fam: CubicFamily):
@@ -154,16 +159,10 @@ def delta12_cubic(fam: CubicFamily) -> BinForm:
     q0 = fam.q[0]
     if q0.is_zero:
         raise PolyError("cubic family with q0 = 0")
-    u2, u3 = u_invariants_cubic(fam)
-    num = (u2 ** 3).scale(4) + (u3 * u3).scale(27)
+    num = weierstrass_discriminant(*u_invariants_cubic(fam))
     if num.is_zero:
         return BinForm.zero(fam.field, num.degree - 2 * q0.degree)
     return num.divexact(q0 * q0)
-
-
-def standard_discriminant(f: UniPoly):
-    """Root-difference-product discriminant; the independent reference."""
-    return poly.discriminant(f)
 
 
 def reconcile_with_standard(probes: int = 50, seed: int = 0):
@@ -174,49 +173,28 @@ def reconcile_with_standard(probes: int = 50, seed: int = 0):
     skipped and redrawn.  Raises if the ratio wobbles.
     """
     rng = random.Random(seed)
-
-    def draw(n):
-        return [Fraction(rng.randint(-9, 9)) for _ in range(n)]
-
-    kappa4 = None
-    done = 0
-    while done < probes:
-        vals = draw(5)
-        if vals[0] == 0:
-            continue
-        fam = QuarticFamily.constants(QQ, vals)
-        quartic = UniPoly(QQ, list(reversed(vals)))
-        disc = standard_discriminant(quartic)
-        if disc == 0:
-            continue
-        delta = delta12_quartic(fam).coeffs[0]
-        ratio = Fraction(delta) / disc
-        if kappa4 is None:
-            kappa4 = ratio
-        elif ratio != kappa4:
-            raise PolyError(f"quartic ratio not constant: {kappa4} vs {ratio}")
-        done += 1
-
-    kappa3 = None
-    done = 0
-    while done < probes:
-        vals = draw(4)
-        if vals[0] == 0:
-            continue
-        fam = CubicFamily.constants(QQ, vals)
-        cubic = UniPoly(QQ, list(reversed(vals)))
-        disc = standard_discriminant(cubic)
-        if disc == 0:
-            continue
-        delta = delta12_cubic(fam).coeffs[0]
-        ratio = Fraction(delta) / disc
-        if kappa3 is None:
-            kappa3 = ratio
-        elif ratio != kappa3:
-            raise PolyError(f"cubic ratio not constant: {kappa3} vs {ratio}")
-        done += 1
-
-    return kappa4, kappa3
+    kappas = []
+    for name, family, delta12, n in (
+        ("quartic", QuarticFamily, delta12_quartic, 5),
+        ("cubic", CubicFamily, delta12_cubic, 4),
+    ):
+        kappa = None
+        done = 0
+        while done < probes:
+            vals = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
+            if vals[0] == 0:
+                continue
+            disc = poly.discriminant(UniPoly(QQ, list(reversed(vals))))
+            if disc == 0:
+                continue
+            ratio = delta12(family.constants(QQ, vals)).coeffs[0] / disc
+            if kappa is None:
+                kappa = ratio
+            elif ratio != kappa:
+                raise PolyError(f"{name} ratio not constant: {kappa} vs {ratio}")
+            done += 1
+        kappas.append(kappa)
+    return tuple(kappas)
 
 
 class BPoint:
@@ -249,11 +227,9 @@ class BPoint:
         return self.f.field
 
     def degree12(self) -> BinForm:
-        cube = self.f ** 3
-        square = self.g * self.g
         if self.normalization == "monic":
-            return cube + square
-        return cube.scale(4) + square.scale(27)
+            return self.f ** 3 + self.g * self.g
+        return weierstrass_discriminant(self.f, self.g)
 
     def is_valid(self) -> bool:
         F12 = self.degree12()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 
-from . import binform
+from . import binform, families
 from .binform import BinForm
 from .families import CubicFamily, QuarticFamily
 from .fields import PrimeField, same_field
@@ -52,7 +52,7 @@ class WModel:
 
     def discriminant_locus(self) -> BinForm:
         """The degree-12 form 4 a^3 + 27 b^2 (stored as ``delta``)."""
-        return (self.a ** 3).scale(4) + (self.b * self.b).scale(27)
+        return families.weierstrass_discriminant(self.a, self.b)
 
     def __repr__(self):
         return f"WModel(a={self.a!r}, b={self.b!r})"

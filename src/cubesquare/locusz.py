@@ -152,8 +152,10 @@ def decompose_fq(form: BinForm, jobs: int = 1) -> list[DecompositionOrbit]:
     """All cube-plus-square decompositions of a squarefree form of degree 12
     (q <= 13) or 6 (q <= 101) over F_q, as torus orbits.
 
-    Exhaustive over all q^(d+1) candidate f; the scan enumerates the q^d
-    prefixes and solves for the last coefficient (see ``_kernels``).  With
+    Exhaustive over all q^(d+1) candidate f.  The scan keeps the prefixes
+    f0..f_{d-1} whose C0 = F0 - f0^3 is a nonzero square (about half of the
+    q^d) and solves for the last coefficient on them; the slice C0 = 0 is
+    solved apart (see ``_kernels``).  With
     ``jobs`` > 1 the candidate range is split over that many worker
     processes; the orbits do not depend on ``jobs``.  For sextics the
     per-field orbit count is empirical data: a lower bound for the geometric

@@ -1,20 +1,63 @@
-"""Dense univariate polynomials over an exact field.
+"""Dense univariate polynomials over an exact field, and the coefficient
+arithmetic that ``UniPoly`` and ``binform.BinForm`` share.
 
-Coefficients are stored in ascending degree with trailing zeros trimmed.
-Resultants over Q run fraction-free (Bareiss elimination of the Sylvester
-matrix over Z); over F_p a Euclidean remainder recursion is used.
+``add``, ``convolve`` and ``power`` work on raw coefficient sequences: they
+use only ``+`` and ``*`` of the coefficients and never reduce, so over F_p
+their results are integers in the right residue class but not in [0, p).
+Both classes reduce once per output coefficient, when their constructor
+coerces it into the field.  A convolution is blind to the direction of the
+sequences, so it serves ascending ``UniPoly`` and descending ``BinForm``
+coefficients alike.
+
+``UniPoly`` stores ascending coefficients with trailing zeros trimmed.
+Resultants run the Euclidean remainder recursion over Q and F_p alike.
 """
 
 from __future__ import annotations
-
-import math
-from fractions import Fraction
 
 from .fields import PrimeField, same_field
 
 
 class PolyError(ValueError):
     pass
+
+
+def add(a, b):
+    """Coefficientwise a + b; the shorter sequence is padded at its end."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
+
+
+def convolve(a, b):
+    """The coefficients of the product of two polynomials, raw."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def power(a, n: int):
+    """The coefficients of the n-th power by square-and-multiply, raw;
+    the 0-th power is [1]."""
+    if n < 0:
+        raise PolyError("negative power")
+    out = [1]
+    while n:
+        if n & 1:
+            out = convolve(out, a)
+        n >>= 1
+        if n:
+            a = convolve(a, a)
+    return out
 
 
 class UniPoly:
@@ -75,46 +118,23 @@ class UniPoly:
         return "UniPoly(" + " + ".join(terms) + ")"
 
     def __add__(self, other):
-        F = same_field(self.field, other.field)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [F.zero()] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [F.zero()] * (n - len(other.coeffs))
-        return UniPoly(F, [F.add(x, y) for x, y in zip(a, b)])
+        return UniPoly(same_field(self.field, other.field), add(self.coeffs, other.coeffs))
 
     def __neg__(self):
-        return UniPoly(self.field, [self.field.neg(c) for c in self.coeffs])
+        return UniPoly(self.field, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        F = same_field(self.field, other.field)
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero(F)
-        out = [F.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if F.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return UniPoly(F, out)
+        return UniPoly(same_field(self.field, other.field), convolve(self.coeffs, other.coeffs))
 
     def scale(self, c):
-        F = self.field
-        c = F.coerce(c)
-        return UniPoly(F, [F.mul(a, c) for a in self.coeffs])
+        c = self.field.coerce(c)
+        return UniPoly(self.field, [a * c for a in self.coeffs])
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise PolyError("negative power")
-        out = UniPoly.const(self.field, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return UniPoly(self.field, power(self.coeffs, n))
 
     def shift(self, k: int):
         """Multiply by x**k."""
@@ -132,10 +152,10 @@ class UniPoly:
         q = [F.zero()] * max(0, len(r) - d)
         while len(r) - 1 >= d and r:
             k = len(r) - 1 - d
-            c = F.mul(r[-1], inv_lc)
+            c = F.coerce(r[-1] * inv_lc)
             q[k] = c
             for i, b in enumerate(other.coeffs):
-                r[k + i] = F.sub(r[k + i], F.mul(c, b))
+                r[k + i] -= c * b
             while r and F.is_zero(r[-1]):
                 r.pop()
         return UniPoly(F, q), UniPoly(F, r)
@@ -152,16 +172,15 @@ class UniPoly:
         return self.scale(self.field.inv(self.lc()))
 
     def derivative(self):
-        F = self.field
-        return UniPoly(F, [F.mul(F.coerce(i), c) for i, c in enumerate(self.coeffs)][1:])
+        return UniPoly(self.field, [i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x0):
         F = self.field
         x0 = F.coerce(x0)
-        acc = F.zero()
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x0), c)
-        return acc
+            acc = acc * x0 + c
+        return F.coerce(acc)
 
 
 def gcd(f: UniPoly, g: UniPoly) -> UniPoly:
@@ -172,97 +191,27 @@ def gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     return f.monic() if not f.is_zero else f
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _sylvester(f: list[int], g: list[int]) -> list[list[int]]:
-    """Sylvester matrix of integer coefficient lists (ascending degree)."""
-    df, dg = len(f) - 1, len(g) - 1
-    n = df + dg
-    rows = []
-    frow = list(reversed(f))
-    grow = list(reversed(g))
-    for i in range(dg):
-        rows.append([0] * i + frow + [0] * (n - df - 1 - i))
-    for i in range(df):
-        rows.append([0] * i + grow + [0] * (n - dg - 1 - i))
-    return rows
-
-
-def _resultant_field(f: UniPoly, g: UniPoly):
-    """Euclidean resultant recursion, valid over any exact field."""
-    F = f.field
-    res = F.one()
-    while True:
-        df, dg = f.degree, g.degree
-        if dg == 0:
-            return F.mul(res, pow_field(F, g.coeffs[0], df))
-        r = f % g
-        if r.is_zero:
-            return F.zero()
-        dr = r.degree
-        # Res(f,g) = (-1)^(df dg) lc(g)^(df-dr) Res(g,r)
-        if (df * dg) % 2 == 1:
-            res = F.neg(res)
-        res = F.mul(res, pow_field(F, g.lc(), df - dr))
-        f, g = g, r
-
-
-def pow_field(F, a, n: int):
-    out = F.one()
-    for _ in range(n):
-        out = F.mul(out, a)
-    return out
-
-
 def resultant(f: UniPoly, g: UniPoly):
-    """Res(f, g) = lc(f)^deg(g) * prod g(a_i) over the roots a_i of f.
-
-    Fraction-free over Q (Bareiss on the Sylvester matrix after clearing
-    denominators); Euclidean remainders over F_p.
-    """
+    """Res(f, g) = lc(f)^deg(g) * prod g(a_i) over the roots a_i of f, by the
+    Euclidean remainder recursion."""
     F = same_field(f.field, g.field)
     if f.is_zero or g.is_zero:
         raise PolyError("resultant of a zero polynomial")
     if f.degree == 0:
-        return pow_field(F, f.coeffs[0], g.degree)
-    if g.degree == 0:
-        return pow_field(F, g.coeffs[0], f.degree)
-    if F.kind == "Fp":
-        return _resultant_field(f, g)
-    # Over Q: Res(cf*F0, cg*G0) = cf^deg(g) cg^deg(f) Res(F0, G0).
-    def clear(p):
-        den = 1
-        for c in p.coeffs:
-            den = math.lcm(den, c.denominator)
-        return [int(c * den) for c in p.coeffs], den
-
-    fz, df_den = clear(f)
-    gz, dg_den = clear(g)
-    det = _bareiss_det(_sylvester(fz, gz))
-    return Fraction(det) / (Fraction(df_den) ** g.degree * Fraction(dg_den) ** f.degree)
+        return F.coerce(f.coeffs[0] ** g.degree)
+    res = 1
+    while True:
+        df, dg = f.degree, g.degree
+        if dg == 0:
+            return F.coerce(res * g.coeffs[0] ** df)
+        r = f % g
+        if r.is_zero:
+            return F.zero()
+        # Res(f,g) = (-1)^(df dg) lc(g)^(df-dr) Res(g,r)
+        if (df * dg) % 2 == 1:
+            res = -res
+        res = F.coerce(res * g.lc() ** (df - r.degree))
+        f, g = g, r
 
 
 def discriminant(f: UniPoly):

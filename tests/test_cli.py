@@ -186,12 +186,26 @@ def test_z_search_rejects_jobs_outside_cap(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["selftest", "recillas-selftest"])
 def test_trials_outside_cap_exit_2(capsys, command):
-    for trials in (-1, cli.MAX_TRIALS + 1):
+    for trials in (-1, 0, cli.MAX_TRIALS + 1):
         code, out = run_cli(capsys, command, "--trials", str(trials))
         assert code == 2
         doc = json.loads(out)
         assert doc["status"] == "error"
         assert "--trials" in doc["error"]["message"]
+
+
+def test_recillas_selftest_names_a_run_without_round_trips(capsys, monkeypatch):
+    from cubesquare import recillas
+
+    def disconnected(t):
+        raise recillas.MonodromyError("not transitive")
+
+    monkeypatch.setattr(recillas, "forward", disconnected)
+    code, out = run_cli(capsys, "recillas-selftest", "--trials", "3")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["payload"]["frobenius"] == doc["payload"]["brute_force"]
+    assert doc["error"]["message"] == "no round trip among 3 trials"
 
 
 def test_z_constants(capsys):
@@ -621,6 +635,7 @@ REACHES = {
         "families.u_invariants_cubic",
         "families.delta12_cubic",
         "families.reconcile_with_standard",
+        "families.weierstrass_discriminant",
         "fibration.is_nodal_twelve",
         "fibration.two_torsion_trigonal",
         "fibration.make_with_section",
@@ -661,6 +676,7 @@ REACHES = {
     "fibration-info": [
         "fibration.fibration_report",
         "fibration.WModel.discriminant_locus",
+        "families.weierstrass_discriminant",
         "fibration.is_nodal_twelve",
         "binform.is_squarefree",
         "binform.roots_fp",
@@ -672,6 +688,7 @@ REACHES = {
         "fibration.halving_quartic",
         "fibration.height_pairing",
         "families.delta12_quartic",
+        "families.weierstrass_discriminant",
         "binform.BinForm.divexact",
         "binform.perfect_square_root",
     ],

@@ -236,3 +236,28 @@ def test_scale_decomposition():
 
 def test_ambient_weights_recorded():
     assert AMBIENT_COORDINATE_WEIGHTS == (3,) * 5 + (2,) * 7
+
+
+def test_every_cube_plus_square_discriminant_is_the_one_formula(monkeypatch):
+    from cubesquare import families, fibration, selftest
+
+    calls = []
+    formula = families.weierstrass_discriminant
+    monkeypatch.setattr(
+        families, "weierstrass_discriminant", lambda u, v: calls.append(1) or formula(u, v)
+    )
+    a = BinForm(QQ, 4, [1, 0, -2, 1, 3])
+    b = BinForm(QQ, 6, [2, 0, 1, 1, 0, 5, 3])
+    sites = [
+        lambda: fibration.WModel(a, b),
+        lambda: BPoint(a, b, "weierstrass").degree12(),
+        lambda: delta12_quartic(const_quartic(QQ, [1, 2, 3, 4, 5])),
+        lambda: delta12_cubic(CubicFamily.constants(QQ, [1, 2, 3, 4])),
+    ]
+    for site in sites:
+        before = len(calls)
+        site()
+        assert len(calls) == before + 1
+    # 100 random forms, then 50 quartic and 50 cubic probes in reconcile.
+    selftest.criterion_discriminants(seed=1)
+    assert len(calls) == len(sites) + 200

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from cubesquare import poly as upoly
+from cubesquare.binform import BinForm
 from cubesquare.fields import QQ, PrimeField
 from cubesquare.poly import (
     PolyError,
@@ -19,6 +21,7 @@ from cubesquare.poly import (
 F5 = PrimeField(5)
 F7 = PrimeField(7)
 F13 = PrimeField(13)
+F1009 = PrimeField(1009)
 
 
 def poly(field, *coeffs):
@@ -60,6 +63,14 @@ def test_resultant_against_root_product_oracle():
     assert resultant(f, g) == oracle
     # and the discriminant flips the sign back: disc(x^3 - x) = 4
     assert discriminant(f) == 4
+    # Non-integral rational coefficients, on both sides.
+    rng = random.Random(5)
+    for _ in range(20):
+        roots = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 4))]
+        lc = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 7))
+        f = from_roots(QQ, roots, lc)
+        g = UniPoly(QQ, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(4)] + [Fraction(1, 3)])
+        assert resultant(f, g) == brute_resultant(f, g, roots, lc)
 
 
 def test_resultant_swap_sign_200_random_pairs():
@@ -75,6 +86,14 @@ def test_resultant_swap_sign_200_random_pairs():
         if (f.degree * g.degree) % 2 == 1:
             rhs = F.neg(rhs)
         assert lhs == rhs
+    for _ in range(50):
+        df, dg = rng.randint(1, 8), rng.randint(1, 8)
+        f, g = (
+            UniPoly(QQ, [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
+                    + [Fraction(rng.randint(1, 5), rng.randint(2, 6))])
+            for n in (df, dg)
+        )
+        assert resultant(f, g) == (-1) ** (df * dg) * resultant(g, f)
 
 
 def test_resultant_zero_iff_common_root():
@@ -216,3 +235,71 @@ def test_roots_fp_scan_bound():
         roots_fp(UniPoly(big, [1, 1]))
     with pytest.raises(PolyError):
         distinct_root_count_fp(poly(QQ, 1, 1))
+
+
+def _draw(rng, F, n):
+    if F == QQ:
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+    return [rng.randrange(F.p) for _ in range(n)]
+
+
+def test_arithmetic_core_reduces_every_fp_coefficient():
+    rng = random.Random(6)
+    for F in (F7, F1009):
+        for _ in range(40):
+            d, e = rng.randint(0, 6), rng.randint(0, 6)
+            f, g = UniPoly(F, _draw(rng, F, d + 1)), UniPoly(F, _draw(rng, F, e + 1))
+            a, b, c = (BinForm(F, d, _draw(rng, F, d + 1)) for _ in range(3))
+            h = BinForm(F, e, _draw(rng, F, e + 1))
+            m = UniPoly(F, _draw(rng, F, e) + [1])
+            k = rng.randrange(-2 * F.p, 2 * F.p)
+            n = rng.randint(0, 4)
+            for out in (
+                f + g, f - g, -f, f * g, f.scale(k), f ** n, f.derivative(), *(f * g).divmod(m),
+                a + b, a - c, -a, a * h, a.scale(k), a ** n,
+            ):
+                assert all(type(x) is int and 0 <= x < F.p for x in out.coeffs), out
+            assert 0 <= f(k) < F.p and 0 <= a(k, rng.randrange(F.p)) < F.p
+
+
+def test_arithmetic_core_forms_and_polynomials_agree():
+    rng = random.Random(7)
+    for F in (QQ, F7, F1009):
+        for _ in range(40):
+            d, e = rng.randint(0, 6), rng.randint(0, 6)
+            a, b = BinForm(F, d, _draw(rng, F, d + 1)), BinForm(F, e, _draw(rng, F, e + 1))
+            assert (a * b).dehomogenize() == a.dehomogenize() * b.dehomogenize()
+            assert (a * b).degree == d + e
+
+
+def test_power_is_repeated_multiplication():
+    rng = random.Random(8)
+    for F in (QQ, F7, F1009):
+        for _ in range(10):
+            d = rng.randint(0, 4)
+            seq = _draw(rng, F, d + 1)
+            f, a = UniPoly(F, seq), BinForm(F, d, seq)
+            raw, fn, an = [1], UniPoly.const(F, 1), BinForm.constant(F, 1)
+            for n in range(6):
+                assert upoly.power(seq, n) == raw
+                assert f ** n == fn and a ** n == an
+                raw, fn, an = upoly.convolve(raw, seq), fn * f, an * a
+    with pytest.raises(PolyError):
+        upoly.power([1, 1], -1)
+
+
+def test_reduction_mod_p_commutes_with_products():
+    rng = random.Random(9)
+    for F in (F7, F1009):
+        for _ in range(40):
+            k = rng.randint(0, 2)
+            a, b = (
+                BinForm(QQ, d, [rng.randint(-10**6, 10**6) for _ in range(d + 1)])
+                for d in (2 * k, 3 * k)
+            )
+
+            def mod(form):
+                return BinForm(F, form.degree, form.coeffs)
+
+            assert mod(a * b) == mod(a) * mod(b)
+            assert mod(a ** 3 - b * b) == mod(a) ** 3 - mod(b) * mod(b)

@@ -3,6 +3,7 @@
 The planted pairs are the first plant of ``criterion_locus`` at seed 1 (one
 orbit) and its first plant with extra orbits (two of them).  The verdict
 helpers are pure, so faults are injected into the orbit lists they judge.
+The last test checks that ``run_all`` runs the trial count it is given.
 """
 
 import pytest
@@ -86,3 +87,13 @@ def test_scan_that_misses_the_planted_orbit_fails(plants):
     checks = _checks(plants, [o for o in orbits if not o.contains_pair(f, g)])
     assert not checks["planted_orbit_once"]
     assert not all(checks.values())
+
+
+@pytest.mark.parametrize("trials, roundtrips, planted", [(5, 5, 5), (0, 0, 0), (None, 1000, 100)])
+def test_run_all_runs_the_trials_it_is_given(monkeypatch, trials, roundtrips, planted):
+    seen = {}
+    for name in [n for n in dir(selftest) if n.startswith("criterion_")]:
+        monkeypatch.setattr(selftest, name, lambda name=name, **kw: seen.setdefault(name, kw))
+    selftest.run_all(trials=trials)
+    assert seen["criterion_recillas"]["trials"] == roundtrips
+    assert seen["criterion_locus"]["plants"] == planted
