@@ -3,7 +3,7 @@ arithmetic that ``UniPoly`` and ``binform.BinForm`` share.
 
 ``add``, ``convolve`` and ``power`` work on raw coefficient sequences: they
 use only ``+`` and ``*`` of the coefficients and never reduce, so over F_p
-their results are integers in the right residue class but not in [0, p).
+their results are integers in the right residue class, not always in [0, p).
 Both classes reduce once per output coefficient, when their constructor
 coerces it into the field.  A convolution is blind to the direction of the
 sequences, so it serves ascending ``UniPoly`` and descending ``BinForm``
@@ -197,8 +197,6 @@ def resultant(f: UniPoly, g: UniPoly):
     F = same_field(f.field, g.field)
     if f.is_zero or g.is_zero:
         raise PolyError("resultant of a zero polynomial")
-    if f.degree == 0:
-        return F.coerce(f.coeffs[0] ** g.degree)
     res = 1
     while True:
         df, dg = f.degree, g.degree

@@ -52,6 +52,9 @@ def test_resultant_linear_examples():
     one = UniPoly.const(QQ, 1)
     assert resultant(x - one, x + one) == 2
     assert resultant(x * x - one, x - UniPoly.const(QQ, 2)) == 3
+    three = UniPoly.const(QQ, 3)
+    assert resultant(three, x * x - one) == resultant(x * x - one, three) == 9
+    assert resultant(three, three) == 1
 
 
 def test_resultant_against_root_product_oracle():
@@ -86,14 +89,14 @@ def test_resultant_swap_sign_200_random_pairs():
         if (f.degree * g.degree) % 2 == 1:
             rhs = F.neg(rhs)
         assert lhs == rhs
+
+    def rational(n):
+        lower = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
+        return UniPoly(QQ, lower + [Fraction(rng.randint(1, 5), rng.randint(2, 6))])
+
     for _ in range(50):
-        df, dg = rng.randint(1, 8), rng.randint(1, 8)
-        f, g = (
-            UniPoly(QQ, [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
-                    + [Fraction(rng.randint(1, 5), rng.randint(2, 6))])
-            for n in (df, dg)
-        )
-        assert resultant(f, g) == (-1) ** (df * dg) * resultant(g, f)
+        f, g = rational(rng.randint(1, 8)), rational(rng.randint(1, 8))
+        assert resultant(f, g) == (-1) ** (f.degree * g.degree) * resultant(g, f)
 
 
 def test_resultant_zero_iff_common_root():
@@ -291,15 +294,15 @@ def test_power_is_repeated_multiplication():
 def test_reduction_mod_p_commutes_with_products():
     rng = random.Random(9)
     for F in (F7, F1009):
+
+        def mod(form):
+            return BinForm(F, form.degree, form.coeffs)
+
         for _ in range(40):
             k = rng.randint(0, 2)
             a, b = (
                 BinForm(QQ, d, [rng.randint(-10**6, 10**6) for _ in range(d + 1)])
                 for d in (2 * k, 3 * k)
             )
-
-            def mod(form):
-                return BinForm(F, form.degree, form.coeffs)
-
             assert mod(a * b) == mod(a) * mod(b)
             assert mod(a ** 3 - b * b) == mod(a) ** 3 - mod(b) * mod(b)
