@@ -119,6 +119,8 @@ def cmd_picard_solve(args) -> int:
         jsonio.divclass_from_json(g, f"generators[{i}]")
         for i, g in enumerate(jsonio._list(doc.get("generators", []), "generators"))
     ]
+    if not 1 <= len(gens) <= 3:
+        raise SchemaError(f"generators: need 1..3 classes, got {len(gens)}")
     cons = [
         jsonio.constraint_from_json(c, f"constraints[{i}]")
         for i, c in enumerate(jsonio._list(doc.get("constraints", []), "constraints"))

@@ -120,30 +120,46 @@ BASIS_DCOORDS = (
 )
 
 
+def row_reduce(rows, ncols: int):
+    """Gauss-Jordan elimination over Q on the first ``ncols`` columns.
+
+    Returns (reduced, pivots, det): the rows over Fraction, pivot row i
+    scaled to 1 at column pivots[i] and every other row 0 there; the pivot
+    columns in increasing order; and the product of the pivots, negated at
+    each row swap, which for a nonsingular square matrix is its determinant.
+    Columns past ``ncols`` (an augmented part) are carried along.
+    """
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    det = Fraction(1)
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            det = -det
+        pivot = m[r][col]
+        det *= pivot
+        m[r] = [v / pivot for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return m, pivots, det
+
+
 def exact_inverse(matrix):
     """(inverse, determinant) of a square integer matrix, both over Fraction,
-    by Gauss-Jordan elimination; raises ArithmeticError if it is singular."""
+    by ``row_reduce`` of [matrix | I]; raises ArithmeticError if it is singular."""
     n = len(matrix)
-    aug = [
-        [Fraction(c) for c in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if piv is None:
-            raise ArithmeticError("singular matrix")
-        if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
-            det = -det
-        det *= aug[k][k]
-        inv = 1 / aug[k][k]
-        aug[k] = [c * inv for c in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k] != 0:
-                c = aug[i][k]
-                aug[i] = [a - c * b for a, b in zip(aug[i], aug[k])]
-    return [row[n:] for row in aug], det
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    reduced, pivots, det = row_reduce(aug, n)
+    if len(pivots) < n:
+        raise ArithmeticError("singular matrix")
+    return [row[n:] for row in reduced], det
 
 
 @lru_cache(maxsize=None)

@@ -63,7 +63,7 @@ class Rationals:
         return hash("Q")
 
     def coerce(self, value) -> Fraction:
-        return Fraction(value)
+        return value if type(value) is Fraction else Fraction(value)
 
     def zero(self) -> Fraction:
         return Fraction(0)

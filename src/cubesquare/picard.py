@@ -5,11 +5,15 @@ K = -3H + E0 + ... + E8.  Minimal sections are the 240 classes S with
 S.S = -1, S.K = -1, S.E0 = 0; under the height pairing <S,T> = 1 - S.T
 they realize the E8 root system, and an explicit isometry onto the e8
 module's coordinates is constructed once and cached.
+
+Class systems are solved by one exact elimination (``solve_class``): the
+dot constraints are row-reduced over Q and the genus condition is solved as
+an integer quadratic.  The zero-section class E0 is reconstructed from an
+orthogonal octuple of (-1)-classes by the same elimination.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from math import isqrt, lcm
@@ -135,9 +139,23 @@ def solve_class(generators, constraints, box: int = 20):
     Returns the tuples of ``_solve_class_scan`` in the same (sorted) order
     and raises the same LatticeError when there are none.
     """
-    n = len(generators)
-    if not 1 <= n <= 3:
+    if not 1 <= len(generators) <= 3:
         raise LatticeError("solve_class takes 1 to 3 generators")
+    sols = _lattice_points(generators, constraints, box)
+    if not sols:
+        raise LatticeError(f"no solution with coefficients in [-{box}, {box}]")
+    return sols
+
+
+def _lattice_points(generators, constraints, box):
+    """The sorted integer tuples of ``solve_class``, for any number of
+    generators; empty when there are none.
+
+    ``box=None`` bounds no coordinate, so the elimination must leave none to
+    enumerate: at most one free coordinate, along which the genus quadratic
+    is not constant.  Otherwise it raises LatticeError.
+    """
+    n = len(generators)
     gram = [[dot(a, b) for b in generators] for a in generators]
     kdots = [dot(g, K) for g in generators]
     rows = []  # augmented rows [D.G_1, ..., D.G_n | value] of the dot constraints
@@ -155,7 +173,7 @@ def solve_class(generators, constraints, box: int = 20):
         return sum(a * b for a, b in zip(u, kdots))
 
     def meets(xs):  # the scan's tests, on an integer tuple
-        if any(abs(x) > box for x in xs):
+        if box is not None and any(abs(x) > box for x in xs):
             return False
         if genus_targets:
             tot = pair(xs, xs) + kdot(xs)
@@ -182,13 +200,15 @@ def solve_class(generators, constraints, box: int = 20):
             shift = 2 * (genus_targets[0] - 1) * den * den
             constant = qa == 0 and qb0 == 0 and not any(slopes)
         enumerated = len(walk) + constant
-        size = (2 * box + 1) ** enumerated
+        if box is None and enumerated:
+            raise LatticeError(f"{enumerated} coordinate(s) left to enumerate and no box")
+        rng = range(-box, box + 1) if box is not None else ()
+        size = len(rng) ** enumerated
         if size > MAX_ENUMERATION:
             raise EnumerationTooLarge(
                 f"box {box} leaves (2 box + 1)^{enumerated} = {size} tuples to "
                 f"enumerate, over the cap {MAX_ENUMERATION}"
             )
-        rng = range(-box, box + 1)
         for ts in product(rng, repeat=len(walk)):
             point = base
             for t, d in zip(ts, walk):
@@ -205,33 +225,18 @@ def solve_class(generators, constraints, box: int = 20):
                     xs = tuple(c // den for c in scaled)
                     if meets(xs):
                         sols.append(xs)
-    if not sols:
-        raise LatticeError(f"no solution with coefficients in [-{box}, {box}]")
     return sorted(sols)
 
 
 def _affine_solution(rows, n: int):
     """The rational solutions of augmented integer rows [a_1 .. a_n | b].
 
-    Gauss-Jordan over Q.  Returns (den, base, dirs), integral, such that the
-    solutions are exactly (base + sum_f x_f dirs_f) / den, one direction per
-    free column f in increasing order with entry den at f; or None when the
-    rows are inconsistent.
+    ``e8.row_reduce`` over Q.  Returns (den, base, dirs), integral, such
+    that the solutions are exactly (base + sum_f x_f dirs_f) / den, one
+    direction per free column f in increasing order with entry den at f; or
+    None when the rows are inconsistent.
     """
-    m = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    for col in range(n):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        m[r] = [v / m[r][col] for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
+    m, pivots, _ = e8.row_reduce(rows, n)
     if any(row[n] for row in m[len(pivots):]):
         return None
     den = lcm(*(v.denominator for row in m for v in row))
@@ -556,64 +561,14 @@ def reflect(d: DivClass, root: DivClass) -> DivClass:
     return d + root.scale(dot(d, root))
 
 
-def _integer_kernel(rows: list[list[int]]) -> list[list[int]]:
-    """Basis of the integer kernel {v : M v = 0} via column reduction.
-
-    Column operations are unimodular, so the zero columns of the transform
-    give a saturated kernel basis.
-    """
-    m = [row[:] for row in rows]
-    nrows, ncols = len(m), len(m[0])
-    u = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-
-    def col(j):
-        return [m[i][j] for i in range(nrows)]
-
-    def addcol(dst, src, c):
-        for i in range(nrows):
-            m[i][dst] += c * m[i][src]
-        for i in range(ncols):
-            u[i][dst] += c * u[i][src]
-
-    def swapcol(a, b):
-        for i in range(nrows):
-            m[i][a], m[i][b] = m[i][b], m[i][a]
-        for i in range(ncols):
-            u[i][a], u[i][b] = u[i][b], u[i][a]
-
-    pivot_col = 0
-    for r in range(nrows):
-        if pivot_col >= ncols:
-            break
-        # Reduce row r over columns >= pivot_col to a single nonzero entry.
-        while True:
-            nz = [j for j in range(pivot_col, ncols) if m[r][j] != 0]
-            if not nz:
-                break
-            jmin = min(nz, key=lambda j: abs(m[r][j]))
-            swapcol(pivot_col, jmin)
-            done = True
-            for j in range(pivot_col + 1, ncols):
-                if m[r][j] != 0:
-                    addcol(j, pivot_col, -(m[r][j] // m[r][pivot_col]))
-                    if m[r][j] != 0:
-                        done = False
-            if done:
-                pivot_col += 1
-                break
-    kernel = []
-    for j in range(ncols):
-        if all(m[i][j] == 0 for i in range(nrows)):
-            kernel.append([u[i][j] for i in range(ncols)])
-    return kernel
-
-
 def reconstruct_e0(octuple) -> DivClass:
     """Recover E0 from eight pairwise-orthogonal (-1)-classes.
 
-    The orthogonal complement of the octuple is a rank-2 unimodular lattice
-    of signature (1,1); the class with square -1 and K-degree -1 in it is
-    unique, and the sign normalization D.(-K) = 1 picks the effective one.
+    Solved by ``solve_class``'s elimination, unbounded, for D in the basis
+    H, E0..E8: D.o = 0 for each member o, D.K = -1 and genus 0 (so
+    D.D = -1).  The octuple spans -I_8 in a unimodular lattice, so the dot
+    rows leave one free coordinate and the genus quadratic along it is not
+    constant; its integral root is unique.
     """
     octuple = list(octuple)
     if len(octuple) != 8:
@@ -624,43 +579,12 @@ def reconstruct_e0(octuple) -> DivClass:
         for b in octuple[i + 1 :]:
             if dot(a, b) != 0:
                 raise LatticeError("classes are not pairwise orthogonal")
-    # M v = 0 where M[i][j] = (octuple_i . basis_j), basis = H, E0..E8.
-    signs = [1] + [-1] * 9
-    rows = [[v * s for v, s in zip(a.as_vector(), signs)] for a in octuple]
-    kernel = _integer_kernel(rows)
-    if len(kernel) != 2:
-        raise LatticeError(f"complement has rank {len(kernel)}, expected 2")
-    v1 = DivClass(kernel[0][0], kernel[0][1:])
-    v2 = DivClass(kernel[1][0], kernel[1][1:])
-    a, b, c = dot(v1, v1), dot(v1, v2), dot(v2, v2)
-    if a * c - b * b != -1:
-        raise LatticeError(
-            f"complement Gram has determinant {a * c - b * b}, expected -1"
-        )
-    # Solve  x v1 + y v2 =: D  with  D.K = -1  and  D.D = -1.
-    ka, kb = dot(v1, K), dot(v2, K)
-    g, x0, y0 = _extended_gcd(ka, kb)
-    if g == 0 or -1 % g:
-        raise LatticeError("no class with K-degree -1 in the complement")
-    x0, y0 = x0 * (-1 // g), y0 * (-1 // g)
-    # General solution: x = x0 + t kb/g, y = y0 - t ka/g.
-    sb, sa = kb // g, ka // g
-    # Quadratic in t from D.D = -1.
-    qa = a * sb * sb - 2 * b * sb * sa + c * sa * sa
-    qb = 2 * (a * x0 * sb + b * (y0 * sb - x0 * sa) - c * y0 * sa)
-    qc = a * x0 * x0 + 2 * b * x0 * y0 + c * y0 * y0 + 1
-    sols = []
-    for t in _integer_quadratic_roots(qa, qb, qc):
-        x, y = x0 + t * sb, y0 - t * sa
-        d = v1.scale(x) + v2.scale(y)
-        if dot(d, d) == -1 and dot(d, K) == -1 and all(
-            dot(d, o) == 0 for o in octuple
-        ):
-            sols.append(d)
-    uniq = {s.as_vector() for s in sols}
-    if len(uniq) != 1:
-        raise LatticeError(f"expected a unique reconstruction, got {sorted(uniq)}")
-    return sols[0]
+    constraints = [Constraint("dot", 0, o) for o in octuple]
+    constraints += [Constraint("dot", -1, K), Constraint("genus", 0)]
+    sols = _lattice_points([H] + [E(i) for i in range(9)], constraints, None)
+    if len(sols) != 1:
+        raise LatticeError(f"expected a unique reconstruction, got {sols}")
+    return DivClass(sols[0][0], sols[0][1:])
 
 
 @lru_cache(maxsize=None)
@@ -671,24 +595,10 @@ def standard_zero_base_class() -> DivClass:
     return reconstruct_e0([E(i) for i in range(1, 9)])
 
 
-def _extended_gcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def _integer_quadratic_roots(a: int, b: int, c: int):
     if a == 0:
         if b == 0:
-            raise LatticeError("degenerate quadratic in the reconstruction")
+            raise LatticeError("degenerate quadratic")
         if c % b == 0:
             return [-c // b]
         return []

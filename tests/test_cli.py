@@ -399,6 +399,13 @@ def test_picard_solve_rejects_malformed_box(tmp_path, capsys):
         _assert_input_error(code, out, "input.box")
 
 
+def test_picard_solve_rejects_a_generator_count_outside_one_to_three(tmp_path, capsys):
+    for count in (0, 4):
+        doc = dict(PICARD_SYSTEM, generators=[{"h": 1, "e": [0] * 9}] * count)
+        code, out = run_cli(capsys, "picard-solve", "--in", _write(tmp_path, "s.json", doc))
+        _assert_input_error(code, out, f"generators: need 1..3 classes, got {count}")
+
+
 def test_picard_solve_rejects_non_object_documents(tmp_path, capsys):
     code, out = run_cli(capsys, "picard-solve", "--in", _write(tmp_path, "s.json", [PICARD_SYSTEM]))
     _assert_input_error(code, out, "input: expected an object")

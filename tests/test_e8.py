@@ -183,3 +183,35 @@ def test_exact_inverse_inverts_both_lattice_bases():
 def test_exact_inverse_rejects_singular_matrix():
     with pytest.raises(ArithmeticError, match="singular"):
         e8.exact_inverse([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+
+
+def _cofactor_det(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * m[0][j] * _cofactor_det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def test_exact_inverse_determinant_keeps_its_sign_through_row_swaps():
+    assert e8.exact_inverse([[0, 1], [1, 0]])[1] == -1
+    rng = random.Random(5)
+    for _ in range(20):
+        # a zero first pivot forces a swap before the first elimination step
+        m = [[0] + [rng.randint(-4, 4) for _ in range(2)]]
+        m += [[rng.randint(-4, 4) for _ in range(3)] for _ in range(2)]
+        det = _cofactor_det(m)
+        if det == 0:
+            continue
+        assert e8.exact_inverse(m)[1] == det
+    m = [[0, 2, 1], [3, 1, 0], [1, 0, 2]]
+    assert _cofactor_det(m) == -13 and e8.exact_inverse(m)[1] == -13
+
+
+def test_row_reduce_reports_pivots_and_carries_the_augmented_columns():
+    rows = [[0, 2, 4, 6], [1, 1, 1, 1], [1, 3, 5, 7]]
+    reduced, pivots, det = e8.row_reduce(rows, 3)
+    assert pivots == [0, 1]
+    assert reduced == [[1, 0, -1, -2], [0, 1, 2, 3], [0, 0, 0, 0]]
+    assert det == -2  # one swap, pivots 1 and 2

@@ -80,3 +80,10 @@ def test_field_equality_and_coercion():
     assert PrimeField(7) != PrimeField(11)
     assert QQ != PrimeField(7)
     assert PrimeField(7).coerce(Fraction(1, 2)) == 4  # 1/2 = 4 mod 7
+
+
+def test_rationals_coerce_returns_a_fraction_as_it_is():
+    x = Fraction(-7, 3)
+    assert QQ.coerce(x) is x
+    assert QQ.coerce(5) == Fraction(5) and type(QQ.coerce(5)) is Fraction
+    assert QQ.coerce("1/2") == Fraction(1, 2)

@@ -330,6 +330,27 @@ def test_reconstruct_e0_standard():
     assert reconstruct_e0([E(i) for i in range(1, 9)]) == E(0)
 
 
+def test_lattice_points_without_a_box_refuses_to_enumerate():
+    # A free coordinate walked past the genus line, and a genus quadratic
+    # that is constant along its line (FIBER.FIBER = FIBER.K = 0): either
+    # would need a box.
+    with pytest.raises(LatticeError, match="no box"):
+        picard._lattice_points([H, E(0)], [Constraint("genus", 0)], None)
+    with pytest.raises(LatticeError, match="no box"):
+        picard._lattice_points([FIBER], [Constraint("genus", 1)], None)
+    with pytest.raises(LatticeError, match="no box"):
+        picard._lattice_points([H], [], None)
+    # Along H alone the genus quadratic is proper: nothing left to enumerate.
+    assert picard._lattice_points([H], [Constraint("genus", 0)], None) == [(1,), (2,)]
+    assert picard._lattice_points([H], [Constraint("genus", 0)], 1) == [(1,)]
+
+
+def test_solve_class_takes_one_to_three_generators():
+    for gens in ([], [H, E(0), E(1), E(2)]):
+        with pytest.raises(LatticeError, match="1 to 3 generators"):
+            solve_class(gens, [Constraint("genus", 0)])
+
+
 def test_reconstruct_e0_rejects_bad_octuples():
     with pytest.raises(LatticeError):
         reconstruct_e0([E(i) for i in range(1, 8)])  # arity
