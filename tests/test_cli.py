@@ -808,3 +808,33 @@ def test_every_subcommand_reaches_its_operations(tmp_path, capsys, monkeypatch):
     assert modules == {
         "_kernels", "binform", "e8", "families", "fibration", "locusz", "picard", "poly", "recillas",
     }
+
+
+def _reports(out):
+    return [json.loads(chunk) for chunk in out.replace("}\n{", "}\x00{").split("\x00")]
+
+
+def test_out_file_carries_the_stdout_bytes(tmp_path, capsys):
+    bad = dict(MEMBERSHIP_MODEL, a=dict(MEMBERSHIP_MODEL["a"], coeffs=["1/0"] * 5))
+    for argv, expected_code in (
+        (["e8-report"], 0),
+        (["fibration-info", "--in", _write(tmp_path, "bad.json", bad)], 2),
+    ):
+        code, stdout = run_cli(capsys, *argv)
+        assert code == expected_code
+        out_path = tmp_path / "report.json"
+        code, out = run_cli(capsys, *argv, "--out", str(out_path))
+        assert code == expected_code
+        assert out == ""
+        assert out_path.read_bytes() == stdout.encode()
+
+
+def test_cli_selftest_with_an_injected_fault_names_the_failing_suite(capsys):
+    code = main(["selftest", "--trials", "1", "--inject-fault"])
+    captured = capsys.readouterr()
+    assert code == 1
+    reports = _reports(captured.out)
+    assert len(reports) == 7
+    assert reports[0]["status"] == "error"
+    assert reports[0]["error"] == {"code": 1, "message": "criterion e8-census failed"}
+    assert captured.err == "selftest: first failing suite: e8-census\n"
