@@ -1,13 +1,22 @@
 """Batch command-line front end: JSON in, JSON reports out.
 
-Exit codes: 0 ok, 1 selftest/assertion failure, 2 malformed input.  Reports
-are pure functions of (argv, input documents): no clocks, no environment,
-stable key order.  The optional --jobs flag shards the exhaustive scan
-(``locusz.decompose_fq``, which selftest runs too) by candidate range; the
-orbits are grouped from the merged hits, so the output is independent of the
-job count.  Each shard repeats the scan's whole prefix pass (over the prefixes
-whose C0 = F0 - f0^3 is a nonzero square, with the C0 = 0 slice solved apart),
-so jobs buy little; --jobs takes 1..MAX_JOBS.
+Every request takes one path.  ``main`` parses argv and runs the command's
+``cmd_*`` handler, which only decodes its inputs and computes: it yields one
+outcome per report, (payload, digest parts, failure), where failure is None
+or the message of a failed check.  selftest yields seven outcomes, every
+other command one.  ``main`` alone wraps each outcome with
+``jsonio.make_report``, writes it to stdout or --out and sets the exit code:
+0 ok, 1 a failed check, 2 an input error (``INPUT_ERRORS``), among them an
+input file that cannot be read or decoded and an --out that cannot be
+written.
+
+Reports are pure functions of (argv, input documents): no clocks, no
+environment, stable key order.  The optional --jobs flag shards the
+exhaustive scan (``locusz.decompose_fq``, which selftest runs too) by
+candidate range; the orbits are grouped from the merged hits, so the output
+is independent of the job count.  Each shard repeats the scan's whole prefix
+pass (over the prefixes whose C0 = F0 - f0^3 is a nonzero square, with the
+C0 = 0 slice solved apart), so jobs buy little; --jobs takes 1..MAX_JOBS.
 """
 
 from __future__ import annotations
@@ -64,56 +73,46 @@ def _load_json(path: str, where: str):
         raise SchemaError(
             f"{where}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too deep, or an over-long integer
+        raise SchemaError(f"{where}: cannot decode {path}: {exc}") from exc
 
 
 def _emit(report: dict, out_path: str | None) -> None:
     text = jsonio.dump_report(report)
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise SchemaError(f"--out: cannot write {out_path}: {exc}") from exc
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args):
     _check_trials(args.trials)
     results = selftest.run_all(
         trials=args.trials, seed=args.seed, fault=args.inject_fault
     )
-    all_ok = True
-    first_failure = None
     for res in results:
         payload = {
             "criterion": res["criterion"],
             "passed": res["passed"],
             "details": res["details"],
         }
-        report = jsonio.make_report(
-            "selftest",
-            payload,
-            [res["criterion"], args.trials, args.seed, args.inject_fault],
-            status="ok" if res["passed"] else "error",
-            error=None
-            if res["passed"]
-            else {"code": 1, "message": f"criterion {res['criterion']} failed"},
-        )
-        _emit(report, None)
-        if not res["passed"] and first_failure is None:
-            first_failure = res["criterion"]
-            all_ok = False
-    if not all_ok:
-        sys.stderr.write(f"selftest: first failing suite: {first_failure}\n")
-        return EXIT_FAIL
-    return EXIT_OK
+        parts = [res["criterion"], args.trials, args.seed, args.inject_fault]
+        yield payload, parts, None if res["passed"] else f"criterion {res['criterion']} failed"
+    failed = [res["criterion"] for res in results if not res["passed"]]
+    if failed:
+        sys.stderr.write(f"selftest: first failing suite: {failed[0]}\n")
 
 
-def cmd_e8_report(args) -> int:
+def cmd_e8_report(args):
     payload = e8.census_report()
-    _emit(jsonio.make_report("e8-report", payload, [payload]), args.out)
-    return EXIT_OK
+    yield payload, [payload], None
 
 
-def cmd_picard_solve(args) -> int:
+def cmd_picard_solve(args):
     doc = jsonio._object(_load_json(args.infile, "picard-solve --in"), "input")
     gens = [
         jsonio.divclass_from_json(g, f"generators[{i}]")
@@ -126,21 +125,17 @@ def cmd_picard_solve(args) -> int:
         for i, c in enumerate(jsonio._list(doc.get("constraints", []), "constraints"))
     ]
     box = jsonio._count(doc, "box", "input", default=20)
+    failure = None
     try:
         sols = picard.solve_class(gens, cons, box=box)
-        payload = {"solutions": [list(s) for s in sols], "box": box}
-        status, error = "ok", None
     except picard.EnumerationTooLarge as exc:
         raise SchemaError(f"input.box: {exc}") from exc
     except picard.LatticeError as exc:
-        payload = {"solutions": [], "box": box}
-        status, error = "error", {"code": 1, "message": str(exc)}
-    report = jsonio.make_report("picard-solve", payload, [doc], status, error)
-    _emit(report, args.out)
-    return EXIT_OK if status == "ok" else EXIT_FAIL
+        sols, failure = [], str(exc)
+    yield {"solutions": [list(s) for s in sols], "box": box}, [doc], failure
 
 
-def cmd_picard_report(args) -> int:
+def cmd_picard_report(args):
     solves = picard.solve_halving_classes()
     recon = picard.standard_zero_base_class()
     sections = picard.enumerate_minimal_sections()
@@ -154,11 +149,10 @@ def cmd_picard_report(args) -> int:
         "pairings_against_first_section": list(picard.pairings_against_first_section()),
         "reconstructed_zero_base_class": jsonio.divclass_to_json(recon),
     }
-    _emit(jsonio.make_report("picard-report", payload, [payload]), args.out)
-    return EXIT_OK
+    yield payload, [payload], None
 
 
-def cmd_fibration_info(args) -> int:
+def cmd_fibration_info(args):
     doc = _load_json(args.infile, "fibration-info --in")
     w = jsonio.model_from_json(doc)
     report = fibration.fibration_report(w)
@@ -174,11 +168,10 @@ def cmd_fibration_info(args) -> int:
         report["distinct_nodal_roots_fp"] = upoly.distinct_root_count_fp(
             w.delta.dehomogenize()
         ) + (1 if w.delta.y_multiplicity() > 0 else 0)
-    _emit(jsonio.make_report("fibration-info", report, [doc]), args.out)
-    return EXIT_OK
+    yield report, [doc], None
 
 
-def cmd_fibration_halving(args) -> int:
+def cmd_fibration_halving(args):
     doc = _load_json(args.infile, "fibration-halving --in")
     w = jsonio.model_from_json(jsonio._need(doc, "model", "input"))
     s = jsonio.section_from_json(jsonio._need(doc, "section", "input"), model=w)
@@ -202,11 +195,10 @@ def cmd_fibration_halving(args) -> int:
         "extraneous_factor_square_root": extraneous_root,
         "section_height": fibration.height_pairing(w, s, s) if w.nodal else None,
     }
-    _emit(jsonio.make_report("fibration-halving", payload, [doc]), args.out)
-    return EXIT_OK
+    yield payload, [doc], None
 
 
-def cmd_recillas_forward(args) -> int:
+def cmd_recillas_forward(args):
     doc = _load_json(args.infile, "recillas-forward --in")
     t = jsonio.tuple_from_json(doc)
     triple, sextic = recillas.forward(t)
@@ -219,11 +211,10 @@ def cmd_recillas_forward(args) -> int:
             "sextic": recillas.rh_genus(sextic),
         },
     }
-    _emit(jsonio.make_report("recillas-forward", payload, [doc]), args.out)
-    return EXIT_OK
+    yield payload, [doc], None
 
 
-def cmd_recillas_reverse(args) -> int:
+def cmd_recillas_reverse(args):
     triple_doc = _load_json(args.triple, "recillas-reverse --triple")
     lift_doc = _load_json(args.lift, "recillas-reverse --lift")
     triple = jsonio.tuple_from_json(triple_doc, "triple")
@@ -233,14 +224,10 @@ def cmd_recillas_reverse(args) -> int:
         "quadruple": jsonio.tuple_to_json(quad),
         "genus": recillas.rh_genus(quad),
     }
-    _emit(
-        jsonio.make_report("recillas-reverse", payload, [triple_doc, lift_doc]),
-        args.out,
-    )
-    return EXIT_OK
+    yield payload, [triple_doc, lift_doc], None
 
 
-def cmd_recillas_selftest(args) -> int:
+def cmd_recillas_selftest(args):
     import random
 
     _check_trials(args.trials)
@@ -268,28 +255,18 @@ def cmd_recillas_selftest(args) -> int:
         "frobenius": frob,
         "brute_force": brute,
     }
-    report = jsonio.make_report(
-        "recillas-selftest",
-        payload,
-        [args.trials, args.seed],
-        status="error" if failure else "ok",
-        error={"code": 1, "message": failure} if failure else None,
-    )
-    _emit(report, args.out)
-    return EXIT_FAIL if failure else EXIT_OK
+    yield payload, [args.trials, args.seed], failure
 
 
-def cmd_z_verify(args) -> int:
+def cmd_z_verify(args):
     doc = _load_json(args.infile, "z-verify --cert")
     form = jsonio.form_from_json(jsonio._need(doc, "F", "cert"), "cert.F")
     point = jsonio.bpoint_from_json(jsonio._need(doc, "point", "cert"), "cert.point")
     cert = locusz.ZCertificate(form, point)
-    payload = locusz.verify_certificate(cert)
-    _emit(jsonio.make_report("z-verify", payload, [doc]), args.out)
-    return EXIT_OK
+    yield locusz.verify_certificate(cert), [doc], None
 
 
-def cmd_z_plant(args) -> int:
+def cmd_z_plant(args):
     f = jsonio.form_from_json(_load_json(args.f, "z-plant --f"), "f")
     g = jsonio.form_from_json(_load_json(args.g, "z-plant --g"), "g")
     cert = locusz.plant(f, g)
@@ -298,14 +275,10 @@ def cmd_z_plant(args) -> int:
         "point": jsonio.bpoint_to_json(cert.point),
         "verification": locusz.verify_certificate(cert),
     }
-    _emit(
-        jsonio.make_report("z-plant", payload, [jsonio.form_to_json(f), jsonio.form_to_json(g)]),
-        args.out,
-    )
-    return EXIT_OK
+    yield payload, [jsonio.form_to_json(f), jsonio.form_to_json(g)], None
 
 
-def cmd_z_search(args) -> int:
+def cmd_z_search(args):
     if not 1 <= args.jobs <= MAX_JOBS:
         raise SchemaError(f"--jobs: need 1..{MAX_JOBS}, got {args.jobs}")
     doc = _load_json(args.infile, "z-search --F")
@@ -325,14 +298,12 @@ def cmd_z_search(args) -> int:
             for o in orbits
         ],
     }
-    _emit(jsonio.make_report("z-search", payload, [doc, args.q or 0]), args.out)
-    return EXIT_OK
+    yield payload, [doc, args.q or 0], None
 
 
-def cmd_z_constants(args) -> int:
+def cmd_z_constants(args):
     payload = locusz.constants_registry()
-    _emit(jsonio.make_report("z-constants", payload, [payload]), args.out)
-    return EXIT_OK
+    yield payload, [payload], None
 
 
 DISPATCH = {
@@ -420,20 +391,25 @@ PARSER = build_parser()
 
 
 def main(argv=None) -> int:
+    """Run one command line; the one place that writes reports and exit codes."""
     args = PARSER.parse_args(argv)
-    handler = DISPATCH[args.command]
+    out = getattr(args, "out", None)
+    code = EXIT_OK
     try:
-        return handler(args)
+        for payload, parts, failure in DISPATCH[args.command](args):
+            status, error = "ok", None
+            if failure is not None:
+                code, status, error = EXIT_FAIL, "error", {"code": EXIT_FAIL, "message": failure}
+            _emit(jsonio.make_report(args.command, payload, parts, status, error), out)
     except INPUT_ERRORS as exc:
-        report = jsonio.make_report(
-            args.command,
-            None,
-            [str(exc)],
-            status="error",
-            error={"code": EXIT_INPUT, "message": str(exc)},
-        )
-        _emit(report, getattr(args, "out", None))
+        error = {"code": EXIT_INPUT, "message": str(exc)}
+        report = jsonio.make_report(args.command, None, [str(exc)], "error", error)
+        try:
+            _emit(report, out)
+        except SchemaError:  # --out cannot be written: the report goes to stdout
+            _emit(report, None)
         return EXIT_INPUT
+    return code
 
 
 if __name__ == "__main__":

@@ -203,7 +203,7 @@ def _lattice_points(generators, constraints, box):
         if box is None and enumerated:
             raise LatticeError(f"{enumerated} coordinate(s) left to enumerate and no box")
         rng = range(-box, box + 1) if box is not None else ()
-        size = len(rng) ** enumerated
+        size = (2 * box + 1) ** enumerated if enumerated else 1
         if size > MAX_ENUMERATION:
             raise EnumerationTooLarge(
                 f"box {box} leaves (2 box + 1)^{enumerated} = {size} tuples to "

@@ -838,3 +838,115 @@ def test_cli_selftest_with_an_injected_fault_names_the_failing_suite(capsys):
     assert reports[0]["status"] == "error"
     assert reports[0]["error"] == {"code": 1, "message": "criterion e8-census failed"}
     assert captured.err == "selftest: first failing suite: e8-census\n"
+
+
+@pytest.mark.parametrize("target", ["missing/dir/x.json", "."])
+def test_unwritable_out_exits_2_with_the_report_on_stdout(tmp_path, capsys, target):
+    code, out = run_cli(capsys, "e8-report", "--out", str(tmp_path / target))
+    _assert_input_error(code, out, "--out:")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000, b"1" * 5000],
+    ids=["not-utf8", "too-deep", "over-long-integer"],
+)
+def test_undecodable_input_file_exits_2_naming_the_flag(tmp_path, capsys, content):
+    path = tmp_path / "model.json"
+    path.write_bytes(content)
+    code, out = run_cli(capsys, "fibration-info", "--in", str(path))
+    _assert_input_error(code, out, "fibration-info --in:")
+
+
+def test_picard_solve_takes_a_box_of_any_size(tmp_path, capsys):
+    from cubesquare import jsonio, picard
+
+    gens, cons, _ = picard.halving_class_systems()["quartic_cover"]
+    doc = {
+        "generators": [jsonio.divclass_to_json(g) for g in gens],
+        "constraints": [
+            {"genus": c.value}
+            if c.kind == "genus"
+            else {"dot_with": jsonio.divclass_to_json(c.target), "equals": c.value}
+            for c in cons
+        ],
+        "box": 10**40,
+    }
+    code, out = run_cli(capsys, "picard-solve", "--in", _write(tmp_path, "s.json", doc))
+    assert code == 0
+    assert json.loads(out)["payload"]["solutions"] == [[6, 0, -2]]
+    doc = {"generators": [PICARD_GENERATOR], "constraints": [], "box": 10**40}
+    code, out = run_cli(capsys, "picard-solve", "--in", _write(tmp_path, "s.json", doc))
+    _assert_input_error(code, out, "input.box")
+
+
+# Values a mutation puts in place of a node of a valid input document.
+ODD_VALUES = [None, "x", [], {}, True, 2.5, -1]
+MUTANTS_PER_FILE = 200
+
+
+def _nodes(doc, path=()):
+    """Every (path, node) of a JSON document, the root first."""
+    yield path, doc
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    copy = json.loads(json.dumps(doc))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return copy
+
+
+def _huge_integers(node):
+    """``node`` with every integer leaf (not a bool) set to 10^40."""
+    if isinstance(node, dict):
+        return {k: _huge_integers(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_huge_integers(v) for v in node]
+    return 10**40 if type(node) is int else node
+
+
+def _mutants(doc, rng):
+    """Seeded mutants of ``doc``: a node replaced, a key deleted or a list
+    lengthened or shortened; then ``doc`` with every integer made huge."""
+    nodes = list(_nodes(doc))
+    for _ in range(MUTANTS_PER_FILE):
+        path, node = rng.choice(nodes)
+        choices = [rng.choice(ODD_VALUES)]
+        if isinstance(node, dict) and node:
+            gone = rng.choice(sorted(node))
+            choices.append({k: v for k, v in node.items() if k != gone})
+        if isinstance(node, list) and node:
+            choices += [node + node[-1:], node[:-1]]
+        yield _replaced(doc, path, rng.choice(choices))
+    yield _huge_integers(doc)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_mutated_input_documents_exit_0_1_or_2_with_one_report(tmp_path, capsys, seed):
+    import random as _random
+
+    argvs = list(_small_argvs(tmp_path).values())
+    argvs.append(["picard-solve", "--in", _write(tmp_path, "boxed.json", dict(PICARD_SYSTEM, box=5))])
+    rng = _random.Random(seed)
+    for argv in argvs:
+        for at, arg in enumerate(argv):
+            if not arg.endswith(".json"):
+                continue
+            with open(arg) as fh:
+                doc = json.load(fh)
+            for mutant in _mutants(doc, rng):
+                path = _write(tmp_path, "mutant.json", mutant)
+                code = main(argv[:at] + [path] + argv[at + 1 :])
+                captured = capsys.readouterr()
+                assert code in (0, 1, 2), (argv[0], mutant)
+                report = json.loads(captured.out)
+                assert report["status"] == ("ok" if code == 0 else "error"), (argv[0], mutant)
+                assert captured.err == "", (argv[0], mutant)
