@@ -64,7 +64,8 @@ def _inverse_table(q: int) -> np.ndarray:
 
 
 def _scan_python_reference(q, F, d, lo, hi):
-    """Plain-Python reference of the scan (tests compare kernels against it)."""
+    """Plain-Python reference of ``decompose_scan``, the scan that z-search
+    and selftest run; the tests compare the kernel's hits against it."""
     table = sqrt_table(q)
     nf, nF, gdeg = d + 1, 3 * d + 1, 3 * d // 2
     out = []
@@ -90,7 +91,8 @@ def _scan_python_reference(q, F, d, lo, hi):
 
 
 def _square_root_desc(C, q, gdeg, table):
-    """Square root of a descending coefficient list, or None."""
+    """Square root of a descending coefficient list, or None; the
+    perfect-square test of ``_scan_python_reference``."""
     j = 0
     while j < len(C) and C[j] == 0:
         j += 1

@@ -226,20 +226,3 @@ def roots_fp(f: BinForm) -> dict[tuple[int, int], int]:
     for r, k in poly.roots_fp(f.dehomogenize()).items():
         out[(r, 1)] = k
     return out
-
-
-def strip_support(f: BinForm, s: BinForm) -> BinForm:
-    """Remove from f every factor whose roots lie in the support of s."""
-    if f.is_zero:
-        raise PolyError("strip_support on the zero form")
-    out = f
-    while True:
-        c = gcd(out, s)
-        if c.degree == 0:
-            return out
-        out = out.divexact(c)
-
-
-def part_supported(f: BinForm, s: BinForm) -> int:
-    """Total multiplicity of f at the support of s (a degree count)."""
-    return f.degree - strip_support(f, s).degree

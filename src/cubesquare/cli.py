@@ -6,9 +6,9 @@ outcome per report, (payload, digest parts, failure), where failure is None
 or the message of a failed check.  selftest yields seven outcomes, every
 other command one.  ``main`` alone wraps each outcome with
 ``jsonio.make_report``, writes it to stdout or --out and sets the exit code:
-0 ok, 1 a failed check, 2 an input error (``INPUT_ERRORS``), among them an
-input file that cannot be read or decoded and an --out that cannot be
-written.
+0 ok, 1 a failed check, 2 an input error (``INPUT_ERRORS``), among them a
+malformed command line, an input file that cannot be read or decoded and an
+--out that cannot be written.
 
 Reports are pure functions of (argv, input documents): no clocks, no
 environment, stable key order.  The optional --jobs flag shards the
@@ -193,7 +193,7 @@ def cmd_fibration_halving(args):
         "divisible_by_model_discriminant": divisible,
         "extraneous_factor": extraneous,
         "extraneous_factor_square_root": extraneous_root,
-        "section_height": fibration.height_pairing(w, s, s) if w.nodal else None,
+        "section_height": fibration.height_pairing(w, s) if w.nodal else None,
     }
     yield payload, [doc], None
 
@@ -322,8 +322,18 @@ DISPATCH = {
     "z-constants": cmd_z_constants,
 }
 
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as an input error (exit 2 with a
+    report) instead of exiting; subparsers inherit the class.  -h still
+    prints help and exits 0."""
+
+    def error(self, message):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cubesquare",
         description="Exact computations around degree-12 forms that split as a cube plus a square.",
     )
@@ -392,18 +402,21 @@ PARSER = build_parser()
 
 def main(argv=None) -> int:
     """Run one command line; the one place that writes reports and exit codes."""
-    args = PARSER.parse_args(argv)
-    out = getattr(args, "out", None)
-    code = EXIT_OK
+    argv = sys.argv[1:] if argv is None else argv
+    command, out, code = None, None, EXIT_OK
     try:
-        for payload, parts, failure in DISPATCH[args.command](args):
+        args = PARSER.parse_args(argv)
+        command, out = args.command, getattr(args, "out", None)
+        for payload, parts, failure in DISPATCH[command](args):
             status, error = "ok", None
             if failure is not None:
                 code, status, error = EXIT_FAIL, "error", {"code": EXIT_FAIL, "message": failure}
-            _emit(jsonio.make_report(args.command, payload, parts, status, error), out)
+            _emit(jsonio.make_report(command, payload, parts, status, error), out)
     except INPUT_ERRORS as exc:
+        if command is None and argv and argv[0] in DISPATCH:  # the command line did not parse
+            command = argv[0]
         error = {"code": EXIT_INPUT, "message": str(exc)}
-        report = jsonio.make_report(args.command, None, [str(exc)], "error", error)
+        report = jsonio.make_report(command, None, [str(exc)], "error", error)
         try:
             _emit(report, out)
         except SchemaError:  # --out cannot be written: the report goes to stdout

@@ -186,20 +186,6 @@ def mod2_key(v: E8Vector) -> tuple[int, ...]:
     return tuple(c % 2 for c in basis_coordinates(v))
 
 
-class Mod2Class:
-    """A class of E8/2E8 with its minimal-norm representative."""
-
-    __slots__ = ("representative", "parity", "key")
-
-    def __init__(self, representative: E8Vector, parity: str, key):
-        self.representative = representative
-        self.parity = parity
-        self.key = key
-
-    def __repr__(self):
-        return f"Mod2Class({self.parity}, rep={self.representative.dcoords})"
-
-
 def weyl_order() -> int:
     """|W(E8)| = 2^14 3^5 5^2 7, cross-checked against the degree product."""
     from_factorization = 2**14 * 3**5 * 5**2 * 7
@@ -250,26 +236,6 @@ def mod2_census() -> dict:
     }
 
 
-def mod2_classes() -> list[Mod2Class]:
-    """All 256 classes with canonical minimal representatives.
-
-    The representative of a nonzero class is the lexicographically smallest
-    dcoords tuple among its minimal-norm members.
-    """
-    reps: dict[tuple, Mod2Class] = {}
-    zero = E8Vector([0] * 8)
-    reps[mod2_key(zero)] = Mod2Class(zero, "zero", mod2_key(zero))
-    for parity, vectors in (("odd", enumerate_roots()), ("even", enumerate_norm4())):
-        best: dict[tuple, E8Vector] = {}
-        for v in vectors:
-            k = mod2_key(v)
-            if k not in best or v.dcoords < best[k].dcoords:
-                best[k] = v
-        for k, v in best.items():
-            reps[k] = Mod2Class(v, parity, k)
-    return list(reps.values())
-
-
 def theta_char_counts(g: int) -> tuple[int, int]:
     """(odd, even) theta-characteristic counts of a genus-g curve."""
     if g < 1:
@@ -288,11 +254,3 @@ def census_report() -> dict:
         "mod2": {"zero": c["zero"], "odd": c["odd_classes"], "even": c["even_classes"]},
         "theta": {"odd": odd_theta, "even": even_theta},
     }
-
-
-def reflect(v: E8Vector, root: E8Vector) -> E8Vector:
-    """Reflection of v in the hyperplane of a root (norm-2 vector)."""
-    if root.norm() != 2:
-        raise ValueError("reflections are taken in roots only")
-    c = v.dot(root)
-    return E8Vector(tuple(a - c * b for a, b in zip(v.dcoords, root.dcoords)))

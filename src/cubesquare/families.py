@@ -33,7 +33,7 @@ from .poly import PolyError, UniPoly
 # 3 on each quartic coefficient a0..a4, 2 on each sextic coefficient b0..b6.
 # Recorded for reference only.  The torus action that actually preserves
 # f^3 + g^2 up to scale is (f, g) -> (lambda^2 f, lambda^3 g), and that is
-# the action this module uses (see scale_decomposition).
+# the action whose orbits ``locusz`` groups decompositions into.
 AMBIENT_COORDINATE_WEIGHTS = (3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2)
 
 
@@ -206,8 +206,8 @@ class BPoint:
     * ``weierstrass``: F = 4 f^3 + 27 g^2
 
     with dictionary (f, g) <-> (3f, 2g) and F_w = 108 F_monic.  The point is
-    valid when the induced degree-12 form is squarefree; invalid points carry
-    a diagnostic instead of being rejected.
+    valid when the induced degree-12 form is squarefree; an invalid point is
+    built all the same, and ``is_valid`` says so.
     """
 
     NORMALIZATIONS = ("monic", "weierstrass")
@@ -234,14 +234,6 @@ class BPoint:
     def is_valid(self) -> bool:
         F12 = self.degree12()
         return (not F12.is_zero) and binform.is_squarefree(F12)
-
-    def diagnostic(self) -> str:
-        F12 = self.degree12()
-        if F12.is_zero:
-            return "degree-12 form vanishes identically"
-        if not binform.is_squarefree(F12):
-            return "degree-12 form has a repeated root"
-        return "ok"
 
     def convert(self, normalization: str) -> "BPoint":
         if normalization == self.normalization:
@@ -275,11 +267,3 @@ def to_b_point(u2: BinForm, u3: BinForm) -> BPoint:
     if u2.is_zero and u3.is_zero:
         raise PolyError("zero point")
     return BPoint(binform.pad(u2, 4), binform.pad(u3, 6), "weierstrass")
-
-
-def scale_decomposition(bp: BPoint, lam) -> BPoint:
-    """(f, g) -> (lam^2 f, lam^3 g); rescales the induced form by lam^6."""
-    F = bp.field
-    lam = F.coerce(lam)
-    l2 = F.mul(lam, lam)
-    return BPoint(bp.f.scale(l2), bp.g.scale(F.mul(l2, lam)), bp.normalization)

@@ -8,10 +8,8 @@ when that form is squarefree (the homogeneous check covers the fiber over
 
 Sections are stored projectively as x = p/d^2, y = y_num/d^3 with p, d,
 y_num binary forms of degrees 2k+2, k, 3k+3 and gcd(p, d) = 1; the zero
-section O is a distinguished value.  (R.O) = deg d, and intersection numbers
-of section curves are computed as gcd degrees of the cleared coordinate
-differences, with contacts along the zero section handled on the chart
-around O.
+section O is a distinguished value.  (S.O) = deg d, so the height of a
+section on a twelve-nodal model is <S,S> = 2 + 2 deg d.
 """
 
 from __future__ import annotations
@@ -146,13 +144,6 @@ class Section:
             raise FibrationError("self-contact of O")
         return self.x_den_sqrt.degree
 
-    def neg(self) -> "Section":
-        if self.is_zero:
-            return self
-        out = Section(self.x_num, self.x_den_sqrt, -self.y_num)
-        out.model = self.model  # (-y)^2 = y^2: -S lies wherever S does
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, Section):
             return NotImplemented
@@ -189,15 +180,6 @@ def _lies_on(w: WModel, s: Section) -> bool:
     return s.model is w or verify_section(w, s)
 
 
-def polynomial_section(w: WModel, x0: UniPoly, y0: UniPoly) -> Section:
-    """The section with polynomial coordinates (deg x0 <= 2, deg y0 <= 3)."""
-    F = w.field
-    if x0.degree > 2 or y0.degree > 3:
-        raise FibrationError("polynomial section needs deg x0 <= 2, deg y0 <= 3")
-    one = BinForm.constant(F, 1)
-    return Section(BinForm.homogenize(x0, 2), one, BinForm.homogenize(y0, 3))
-
-
 def make_with_section(x0: UniPoly, y0: UniPoly, a: BinForm):
     """Build Y^2 = X^3 + aX + b with b = y0^2 - x0^3 - a x0 and the planted
     polynomial section (x0, y0)."""
@@ -213,210 +195,22 @@ def make_with_section(x0: UniPoly, y0: UniPoly, a: BinForm):
 
 
 # ---------------------------------------------------------------------------
-# Rational functions over the base, for the function-field group law.
+# The height pairing.
 
 
-class _Rat:
-    """num/den of univariate polynomials, reduced, den monic."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: UniPoly, den: UniPoly, reduce=True):
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if reduce:
-            g = upoly.gcd(num, den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
-            c = den.lc()
-            if c != den.field.one():
-                inv = den.field.inv(c)
-                num = num.scale(inv)
-                den = den.scale(inv)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, p: UniPoly):
-        return cls(p, UniPoly.const(p.field, 1), reduce=False)
-
-    @property
-    def is_zero(self):
-        return self.num.is_zero
-
-    def __eq__(self, other):
-        return self.num == other.num and self.den == other.den
-
-    def __add__(self, other):
-        return _Rat(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return _Rat(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other):
-        return _Rat(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero function")
-        return _Rat(self.num * other.den, self.den * other.num)
-
-    def __neg__(self):
-        return _Rat(-self.num, self.den, reduce=False)
-
-
-def _section_xy(s: Section):
-    """Affine x and y of a nonzero section as reduced rational functions."""
-    p = s.x_num.dehomogenize()
-    d = s.x_den_sqrt.dehomogenize()
-    y = s.y_num.dehomogenize()
-    return _Rat(p, d * d), _Rat(y, d * d * d)
-
-
-def section_from_affine(w: WModel, x: _Rat, y: _Rat) -> Section:
-    """Rebuild the projective (p, d, y_num) representation from affine data.
-
-    Finite poles of x must have even order with a perfect-square denominator;
-    the excess pole order at the base point (1:0) must be even as well.  Any
-    violation means the input is not a section of this model.
-    """
-    F = w.field
-    num, den = x.num, x.den
-    d_aff = upoly.perfect_square_root(den) if den.degree > 0 else UniPoly.const(F, 1)
-    if d_aff is None:
-        raise FibrationError("x-denominator is not a perfect square")
-    mu = d_aff.degree
-    excess = num.degree - 2 * mu - 2
-    if excess > 0:
-        if excess % 2:
-            raise FibrationError("odd pole order over the base point at infinity")
-        j = excess // 2
-    else:
-        j = 0
-    k = mu + j
-    p_form = BinForm.homogenize(num, 2 * k + 2)
-    d_form = BinForm.homogenize(d_aff, k)
-    y_den_expected = d_aff ** 3
-    y_red = _Rat(y.num, y.den)
-    if y_red.den != y_den_expected.monic():
-        raise FibrationError("y-denominator is not the cube of the x-denominator")
-    if y_red.num.degree > 3 * k + 3:
-        raise FibrationError("y grows faster than the weight-3 bound")
-    y_form = BinForm.homogenize(y_red.num, 3 * k + 3)
-    # Normalize the leading nonzero coefficient of d to 1.
-    lead = next(c for c in d_form.coeffs if not F.is_zero(c))
-    if lead != F.one():
-        inv = F.inv(lead)
-        d_form = d_form.scale(inv)
-        inv2 = F.mul(inv, inv)
-        p_form = p_form.scale(inv2)
-        y_form = y_form.scale(F.mul(inv2, inv))
-    return Section(p_form, d_form, y_form, model=w)
-
-
-def section_add(w: WModel, s: Section, t: Section) -> Section:
-    """Chord-tangent sum of two sections over F_p(t)."""
-    if not isinstance(w.field, PrimeField):
-        raise FibrationError("the function-field group law is bound to F_p")
-    for sec in (s, t):
-        if not _lies_on(w, sec):
-            raise FibrationError("summand is not a section of this model")
-    if s.is_zero:
-        return t
-    if t.is_zero:
-        return s
-    xs, ys = _section_xy(s)
-    xt, yt = _section_xy(t)
-    F = w.field
-    a_aff = _Rat.from_poly(w.a.dehomogenize())
-    if xs == xt:
-        if ys == yt:
-            if ys.is_zero:
-                return Section.zero(F)  # two-torsion doubled
-            three = _Rat.from_poly(UniPoly.const(F, 3))
-            two = _Rat.from_poly(UniPoly.const(F, 2))
-            lam = (three * xs * xs + a_aff) / (two * ys)
-        else:
-            return Section.zero(F)  # t = -s
-    else:
-        lam = (yt - ys) / (xt - xs)
-    x3 = lam * lam - xs - xt
-    y3 = lam * (xs - x3) - ys
-    return section_from_affine(w, x3, y3)
-
-
-def section_double(w: WModel, s: Section) -> Section:
-    return section_add(w, s, s)
-
-
-def section_scalar(w: WModel, n: int, s: Section) -> Section:
-    if n < 0:
-        return section_scalar(w, -n, s.neg())
-    out = Section.zero(w.field)
-    acc = s
-    while n:
-        if n & 1:
-            out = section_add(w, out, acc)
-        acc = section_add(w, acc, acc)
-        n >>= 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Intersection numbers and the height pairing.
-
-
-def intersection_number(s: Section, t: Section) -> int:
-    """(S.T) for distinct nonzero sections: the degree of the common-vanishing
-    divisor of the cleared coordinate differences, contacts along the zero
-    section included (computed on the chart around O)."""
-    if s.is_zero or t.is_zero:
-        raise FibrationError("(S.O) is the denominator degree, not computed here")
-    if s == t:
-        raise FibrationError("self-intersection is not computed this way")
-    ps, ds, ys = s.x_num, s.x_den_sqrt, s.y_num
-    pt, dt, yt = t.x_num, t.x_den_sqrt, t.y_num
-    dx = ps * (dt * dt) - pt * (ds * ds)
-    dy = ys * (dt ** 3) - yt * (ds ** 3)
-    if dx.is_zero and dy.is_zero:
-        raise FibrationError("sections coincide")
-    finite = binform.gcd(dx, dy)
-    g0 = binform.gcd(ds, dt)
-    total = 0
-    if g0.degree > 0:
-        finite = binform.strip_support(finite, g0)
-        dw = ps * ds * yt - pt * dt * ys
-        dv = (ds ** 3) * yt - (dt ** 3) * ys
-        if dw.is_zero and dv.is_zero:
-            raise FibrationError("sections coincide near the zero section")
-        near_o = binform.gcd(dw, dv)
-        total += binform.part_supported(near_o, g0)
-    total += finite.degree
-    return total
-
-
-def height_pairing(w: WModel, s: Section, t: Section):
-    """<S,T> = 1 + (S.O) + (T.O) - (S.T); <S,S> = 2 + 2 (S.O); <O,.> = 0.
+def height_pairing(w: WModel, s: Section) -> int:
+    """The height <S,S> = 2 + 2 (S.O) of a section; <O,O> = 0.
 
     Requires all twelve fibers nodal (no local correction terms otherwise)
-    and verified sections.
+    and a verified section.
     """
     if not w.nodal:
         raise FibrationError("height pairing needs twelve nodal fibers")
-    for sec in (s, t):
-        if not _lies_on(w, sec):
-            raise FibrationError("unverified section in height pairing")
-    if s.is_zero or t.is_zero:
+    if not _lies_on(w, s):
+        raise FibrationError("unverified section in height pairing")
+    if s.is_zero:
         return 0
-    if s == t:
-        return 2 + 2 * s.contact_with_zero
-    return (
-        1
-        + s.contact_with_zero
-        + t.contact_with_zero
-        - intersection_number(s, t)
-    )
+    return 2 + 2 * s.contact_with_zero
 
 
 # ---------------------------------------------------------------------------
@@ -496,19 +290,12 @@ class FiberCurve:
         self.field = field
         self.A = A % field.p
         self.B = B % field.p
-        if field.is_zero(
-            field.add(field.mul(4, pow(self.A, 3, field.p)), field.mul(27, self.B * self.B))
-        ):
+        if field.is_zero(4 * pow(self.A, 3, field.p) + 27 * self.B * self.B):
             raise FibrationError("singular fiber")
 
     def rhs(self, x: int) -> int:
         p = self.field.p
         return (pow(x, 3, p) + self.A * x + self.B) % p
-
-    def contains(self, pt: FiberPoint) -> bool:
-        if pt.infinite:
-            return True
-        return pt.y * pt.y % self.field.p == self.rhs(pt.x)
 
     def points(self) -> list[FiberPoint]:
         """All F_p-rational points, including the point at infinity."""

@@ -71,9 +71,6 @@ class Rationals:
     def one(self) -> Fraction:
         return Fraction(1)
 
-    def add(self, a, b):
-        return a + b
-
     def sub(self, a, b):
         return a - b
 
@@ -158,9 +155,6 @@ class PrimeField:
 
     def one(self) -> int:
         return 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
 
     def sub(self, a, b):
         return (a - b) % self.p

@@ -91,24 +91,6 @@ def family_to_json(fam) -> dict:
     }
 
 
-def family_from_json(obj: dict, where: str = "family"):
-    kind = _need(obj, "kind", where)
-    profile = obj.get("profile", "free")
-    forms = [
-        form_from_json(f, f"{where}.coeff_forms[{i}]")
-        for i, f in enumerate(_need(obj, "coeff_forms", where))
-    ]
-    if kind == "quartic":
-        if len(forms) != 5:
-            raise SchemaError(f"{where}: a quartic family needs 5 forms")
-        return QuarticFamily(*forms, profile=profile)
-    if kind == "cubic":
-        if len(forms) != 4:
-            raise SchemaError(f"{where}: a cubic family needs 4 forms")
-        return CubicFamily(*forms, profile=profile)
-    raise SchemaError(f"{where}.kind: unknown kind {kind!r}")
-
-
 def model_to_json(w: WModel) -> dict:
     return {"a": form_to_json(w.a), "b": form_to_json(w.b)}
 

@@ -256,7 +256,8 @@ def _affine_solution(rows, n: int):
 
 
 def _solve_class_scan(generators, constraints, box: int = 20):
-    """The reference for ``solve_class``: every tuple of the box, tested.
+    """The reference for ``solve_class``, which picard-solve and
+    picard-report run: every tuple of the box, tested.
 
     Exhaustive, (2 box + 1)^n tuples; up to 3 generators.  Constraints are
     evaluated through precomputed pairings, so the scan is arithmetic on

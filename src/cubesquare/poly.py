@@ -136,12 +136,6 @@ class UniPoly:
     def __pow__(self, n: int):
         return UniPoly(self.field, power(self.coeffs, n))
 
-    def shift(self, k: int):
-        """Multiply by x**k."""
-        if self.is_zero or k == 0:
-            return self
-        return UniPoly(self.field, [self.field.zero()] * k + list(self.coeffs))
-
     def divmod(self, other):
         F = same_field(self.field, other.field)
         if other.is_zero:

@@ -409,12 +409,6 @@ def brute_force_tuple_count(n: int, k: int) -> int:
     return count
 
 
-def genus_triple(t: HurwitzTuple) -> tuple[int, int, int]:
-    """(g_Q, g_C, g_S) for a 12-transposition quadruple-cover tuple."""
-    triple, sextic = forward(t)
-    return rh_genus(t), rh_genus(triple), rh_genus(sextic)
-
-
 def roundtrip_check(t: HurwitzTuple):
     """forward then reverse; returns the recovered conjugator g (never None
     for valid input) with reverse(forward(t)) == t.conjugate(g)."""

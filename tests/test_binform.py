@@ -65,16 +65,6 @@ def test_gcd_includes_infinity():
     assert d == BinForm(F11, 4, [0, 0, 1, 0, 0])
 
 
-def test_strip_and_part_supported():
-    x = BinForm(QQ, 1, [1, 0])
-    y = BinForm(QQ, 1, [0, 1])
-    f = x * x * y * (x + y) * (x + y)
-    assert binform.part_supported(f, x) == 2
-    assert binform.part_supported(f, y) == 1
-    assert binform.part_supported(f, x + y) == 2
-    assert binform.strip_support(f, x * y).degree == 2
-
-
 def test_squarefree_fixed_examples():
     f12 = BinForm(QQ, 12, [1] + [0] * 11 + [1])  # x^12 + y^12
     assert binform.is_squarefree(f12)

@@ -184,6 +184,38 @@ def test_z_search_rejects_jobs_outside_cap(tmp_path, capsys):
         assert "--jobs" in json.loads(out)["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, command, prefix",
+    [
+        (
+            ["z-search", "--F", "x.json", "--jobs", "x"],
+            "z-search",
+            "cubesquare z-search: argument --jobs: invalid int value",
+        ),
+        (["no-such-command"], None, "cubesquare: argument command: invalid choice"),
+        (
+            ["fibration-info"],
+            "fibration-info",
+            "cubesquare fibration-info: the following arguments are required: --in",
+        ),
+    ],
+    ids=["malformed-flag-value", "unknown-subcommand", "missing-required-flag"],
+)
+def test_malformed_command_line_returns_2_with_a_report(capsys, argv, command, prefix):
+    code = main(argv)
+    captured = capsys.readouterr()
+    _assert_input_error(code, captured.out, prefix)
+    assert json.loads(captured.out)["command"] == command
+    assert captured.err == ""
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["z-search", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cubesquare z-search")
+
+
 @pytest.mark.parametrize("command", ["selftest", "recillas-selftest"])
 def test_trials_outside_cap_exit_2(capsys, command):
     for trials in (-1, 0, cli.MAX_TRIALS + 1):
@@ -492,6 +524,36 @@ def test_fibration_reports_are_pinned(tmp_path, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, field)
 
 
+# A section with a real denominator: 2S, by chord-tangent doubling over
+# F_1009(t), for the planted section S of the seed-12 draw of
+# ``random_planted_model`` over F_1009.  (2S.O) = 3, so its height is
+# 2 + 2 * 3 = 8 = 4 <S,S>.
+DOUBLED_SECTION_INPUT = (
+    '{"model": {"a": {"degree": 4, "field": {"kind": "Fp", "p": 1009}, "coeffs": ["390", '
+    '"11", "383", "494", "280"]}, "b": {"degree": 6, "field": {"kind": "Fp", "p": 1009}, '
+    '"coeffs": ["707", "554", "24", "612", "358", "926", "964"]}}, '
+    '"section": {"x_num": {"degree": 8, "field": {"kind": "Fp", "p": 1009}, '
+    '"coeffs": ["352", "297", "508", "604", "847", "700", "169", "559", "127"]}, '
+    '"x_den_sqrt": {"degree": 3, "field": {"kind": "Fp", "p": 1009}, "coeffs": ["1", "348", '
+    '"212", "757"]}, "y_num": {"degree": 12, "field": {"kind": "Fp", "p": 1009}, '
+    '"coeffs": ["252", "547", "252", "704", "646", "374", "253", "253", "809", "489", "265", '
+    '"197", "317"]}}}'
+)
+
+
+def test_fibration_halving_of_a_section_with_a_denominator(tmp_path, capsys):
+    path = tmp_path / "doubled.json"
+    path.write_text(DOUBLED_SECTION_INPUT)
+    code, out = run_cli(capsys, "fibration-halving", "--in", str(path))
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert json.loads(DOUBLED_SECTION_INPUT)["section"]["x_den_sqrt"]["degree"] == 3
+    assert payload["section_height"] == 8
+    assert payload["divisible_by_model_discriminant"] is True
+    assert payload["extraneous_factor"]["degree"] == 48
+    assert payload["extraneous_factor_square_root"]["degree"] == 24
+
+
 def test_main_builds_no_parser(capsys, monkeypatch):
     built = _counting(monkeypatch, cli, "build_parser")
     for _ in range(2):
@@ -739,7 +801,9 @@ def _small_argvs(tmp_path):
         "constraints": [{"dot_with": {"h": 1, "e": [0] * 9}, "equals": 2}, {"genus": 0}],
     }
     return {
-        "selftest": ["selftest", "--trials", "5"],
+        # Seed 7 plants one form with a second orbit among its five plants,
+        # so the suite also checks that an extra orbit recomposes the form.
+        "selftest": ["selftest", "--trials", "5", "--seed", "7"],
         "e8-report": ["e8-report"],
         "picard-solve": ["picard-solve", "--in", _write(tmp_path, "system.json", system)],
         "picard-report": ["picard-report"],

@@ -113,19 +113,6 @@ def test_census_matches_covering_degrees():
     assert c["even_classes"] == 135  # tetragonal hyperelliptic cover
 
 
-def test_mod2_class_representatives_canonical():
-    classes = e8.mod2_classes()
-    assert len(classes) == 256
-    parities = {}
-    for cl in classes:
-        parities[cl.parity] = parities.get(cl.parity, 0) + 1
-        if cl.parity == "odd":
-            assert cl.representative.norm() == 2
-        if cl.parity == "even":
-            assert cl.representative.norm() == 4
-    assert parities == {"zero": 1, "odd": 120, "even": 135}
-
-
 def test_theta_char_counts():
     assert e8.theta_char_counts(4) == (120, 136)
     assert e8.theta_char_counts(1) == (1, 3)
@@ -152,14 +139,6 @@ def test_vector_validation():
         E8Vector((2, 2, 2, 0, 0, 0, 0, 0))  # sum = 6, not 0 mod 4
     v = E8Vector((1,) * 8)
     assert v.norm() == 2
-
-
-def test_reflect():
-    roots = e8.enumerate_roots()
-    r = roots[0]
-    assert e8.reflect(r, r) == -r
-    v = roots[17]
-    assert e8.reflect(e8.reflect(v, r), r) == v
 
 
 def test_exact_inverse_inverts_both_lattice_bases():

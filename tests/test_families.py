@@ -13,7 +13,6 @@ from cubesquare.families import (
     delta12_cubic,
     delta12_quartic,
     reconcile_with_standard,
-    scale_decomposition,
     to_b_point,
     u_invariants_cubic,
     u_invariants_quartic,
@@ -220,18 +219,6 @@ def test_to_b_point():
     bad = to_b_point(BinForm.zero(QQ, 4), BinForm.monomial(QQ, 6, 0))
     assert not bad.is_valid()
     assert bad.degree12() == BinForm.monomial(QQ, 12, 0, 27)
-    assert "repeated root" in bad.diagnostic()
-
-
-def test_scale_decomposition():
-    F13 = PrimeField(13)
-    f = BinForm(F13, 4, [1, 2, 3, 4, 5])
-    g = BinForm(F13, 6, [6, 5, 4, 3, 2, 1, 0])
-    bp = BPoint(f, g, "monic")
-    base = bp.degree12()
-    for lam in range(1, 13):
-        scaled = scale_decomposition(bp, lam)
-        assert scaled.degree12() == base.scale(pow(lam, 6, 13))
 
 
 def test_ambient_weights_recorded():

@@ -8,6 +8,7 @@ from cubesquare.binform import BinForm
 from cubesquare.families import BPoint, CubicFamily, QuarticFamily
 from cubesquare.fields import QQ, PrimeField
 from cubesquare.jsonio import SchemaError
+from test_cli import DOUBLED_SECTION_INPUT
 
 F1009 = PrimeField(1009)
 
@@ -41,9 +42,8 @@ def test_form_schema_errors():
 def test_family_roundtrip():
     fam = QuarticFamily.constants(QQ, [1, 0, 0, 2, 3])
     doc = jsonio.family_to_json(fam)
-    back = jsonio.family_from_json(doc)
-    assert isinstance(back, QuarticFamily)
-    assert back.p == fam.p and back.profile == fam.profile
+    assert doc["kind"] == "quartic" and doc["profile"] == fam.profile
+    assert [jsonio.form_from_json(f) for f in doc["coeff_forms"]] == list(fam.p)
     cfam = CubicFamily(
         BinForm.constant(F1009, 1),
         BinForm.zero(F1009, 2),
@@ -51,9 +51,11 @@ def test_family_roundtrip():
         BinForm(F1009, 6, [1, 0, 0, 0, 0, 0, 6]),
         profile="E",
     )
-    back2 = jsonio.family_from_json(jsonio.family_to_json(cfam))
-    assert isinstance(back2, CubicFamily)
-    assert back2.q == cfam.q and back2.profile == "E"
+    doc = jsonio.family_to_json(cfam)
+    assert doc["kind"] == "cubic" and doc["profile"] == "E"
+    assert [jsonio.form_from_json(f) for f in doc["coeff_forms"]] == list(cfam.q)
+    with pytest.raises(SchemaError):
+        jsonio.family_to_json(fam.p[0])
 
 
 def test_model_and_section_roundtrip():
@@ -66,8 +68,11 @@ def test_model_and_section_roundtrip():
     o = jsonio.section_from_json(jsonio.section_to_json(fibration.Section.zero()))
     assert o.is_zero
     # a denominator-bearing section survives the trip too
-    d = fibration.section_double(w, s)
-    assert jsonio.section_from_json(jsonio.section_to_json(d)) == d
+    doc = json.loads(DOUBLED_SECTION_INPUT)
+    w = jsonio.model_from_json(doc["model"])
+    d = jsonio.section_from_json(doc["section"], model=w)
+    assert d.contact_with_zero == 3
+    assert jsonio.section_to_json(d) == doc["section"]
 
 
 def test_bpoint_roundtrip():
