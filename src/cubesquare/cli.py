@@ -91,16 +91,14 @@ def _emit(report: dict, out_path: str | None) -> None:
 
 def cmd_selftest(args):
     _check_trials(args.trials)
-    results = selftest.run_all(
-        trials=args.trials, seed=args.seed, fault=args.inject_fault
-    )
+    results = selftest.run_all(trials=args.trials, seed=args.seed)
     for res in results:
         payload = {
             "criterion": res["criterion"],
             "passed": res["passed"],
             "details": res["details"],
         }
-        parts = [res["criterion"], args.trials, args.seed, args.inject_fault]
+        parts = [res["criterion"], args.trials, args.seed]
         yield payload, parts, None if res["passed"] else f"criterion {res['criterion']} failed"
     failed = [res["criterion"] for res in results if not res["passed"]]
     if failed:
@@ -342,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the acceptance suites")
     p.add_argument("--trials", type=int, default=None, help=f"1..{MAX_TRIALS}")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     p = sub.add_parser("e8-report", help="lattice census")
     p.add_argument("--out")

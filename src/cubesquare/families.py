@@ -29,13 +29,6 @@ from .binform import BinForm
 from .fields import QQ, same_field
 from .poly import PolyError, UniPoly
 
-# Declared coordinate weights of the ambient weighted projective space:
-# 3 on each quartic coefficient a0..a4, 2 on each sextic coefficient b0..b6.
-# Recorded for reference only.  The torus action that actually preserves
-# f^3 + g^2 up to scale is (f, g) -> (lambda^2 f, lambda^3 g), and that is
-# the action whose orbits ``locusz`` groups decompositions into.
-AMBIENT_COORDINATE_WEIGHTS = (3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2)
-
 
 def _check_progression(forms, what):
     degs = [f.degree for f in forms]
@@ -108,8 +101,6 @@ def u_invariants_quartic(fam: QuarticFamily):
     """u2 = p1 p3 - 4 p0 p4 - p2^2/3;
     u3 = p1^2 p4 + p0 p3^2 - 8 p0 p2 p4/3 - p1 p2 p3/3 + 2 p2^3/27."""
     F = fam.field
-    if F.characteristic == 3:
-        raise PolyError("u-invariants need 3 invertible")
     p0, p1, p2, p3, p4 = fam.p
     third = F.div(F.one(), F.coerce(3))
     u2 = p1 * p3 - (p0 * p4).scale(4) - (p2 * p2).scale(third)
@@ -137,8 +128,6 @@ def delta12_quartic(fam: QuarticFamily) -> BinForm:
 def u_invariants_cubic(fam: CubicFamily):
     """u2 = q0 q2 - q1^2/3;  u3 = q0^2 q3 - q0 q1 q2/3 + 2 q1^3/27."""
     F = fam.field
-    if F.characteristic == 3:
-        raise PolyError("u-invariants need 3 invertible")
     q0, q1, q2, q3 = fam.q
     third = F.div(F.one(), F.coerce(3))
     u2 = q0 * q2 - (q1 * q1).scale(third)

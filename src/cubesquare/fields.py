@@ -27,7 +27,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 2**62."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small
     d, s = n - 1, 0
@@ -51,7 +51,6 @@ class Rationals:
     """The field Q.  Elements are ``Fraction`` values."""
 
     kind = "Q"
-    characteristic = 0
 
     def __repr__(self):
         return "QQ"
@@ -132,7 +131,6 @@ class PrimeField:
         if not is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p
-        self.characteristic = p
 
     def __repr__(self):
         return f"GF({self.p})"

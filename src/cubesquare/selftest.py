@@ -41,14 +41,12 @@ def _suite(name, budget):
 
 
 @_suite("e8-census", budget=1.0)
-def criterion_e8(fault: bool = False):
+def criterion_e8():
     report = e8.census_report()
-    expected_weyl = 696729600 + (1 if fault else 0)
     checks = {
         "roots": report["roots"] == 240,
         "norm4": report["norm4"] == 2160,
-        "weyl": report["weyl_order"] == expected_weyl
-        and 2**14 * 3**5 * 5**2 * 7 == expected_weyl,
+        "weyl": report["weyl_order"] == 696729600 == 2**14 * 3**5 * 5**2 * 7,
         "mod2": report["mod2"] == {"zero": 1, "odd": 120, "even": 135},
         "per_class": (
             e8.mod2_census()["roots_per_odd_class"] == 2
@@ -359,14 +357,14 @@ def criterion_registry():
     return all(checks.values()), {"checks": checks}
 
 
-def run_all(trials: int | None = None, seed: int = 1, fault: bool = False):
+def run_all(trials: int | None = None, seed: int = 1):
     """Run every acceptance suite; returns the list of result dicts.
 
     ``trials`` sets the round trips of criterion 5 and, up to 100, the plants
     of criterion 6; None runs 1000 round trips and 100 plants."""
     roundtrips, plants = (1000, 100) if trials is None else (trials, min(trials, 100))
     return [
-        criterion_e8(fault=fault),
+        criterion_e8(),
         criterion_picard(),
         criterion_discriminants(seed=seed),
         criterion_fibration(seed=seed),

@@ -6,7 +6,6 @@ import pytest
 from cubesquare import binform
 from cubesquare.binform import BinForm
 from cubesquare.families import (
-    AMBIENT_COORDINATE_WEIGHTS,
     BPoint,
     CubicFamily,
     QuarticFamily,
@@ -219,10 +218,6 @@ def test_to_b_point():
     bad = to_b_point(BinForm.zero(QQ, 4), BinForm.monomial(QQ, 6, 0))
     assert not bad.is_valid()
     assert bad.degree12() == BinForm.monomial(QQ, 12, 0, 27)
-
-
-def test_ambient_weights_recorded():
-    assert AMBIENT_COORDINATE_WEIGHTS == (3,) * 5 + (2,) * 7
 
 
 def test_every_cube_plus_square_discriminant_is_the_one_formula(monkeypatch):
