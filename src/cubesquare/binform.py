@@ -10,7 +10,7 @@ through the homogeneous representation, never by a separate flag.
 from __future__ import annotations
 
 from . import poly
-from .fields import same_field
+from .fields import QQ, PrimeField, same_field
 from .poly import PolyError, UniPoly
 
 
@@ -179,15 +179,48 @@ def _normalize(f: BinForm) -> BinForm:
     return f.scale(f.field.inv(lead))
 
 
+# The prime of the squarefree certificate over Q (see ``is_squarefree``).
+CERTIFICATE_PRIME = 2**31 - 1
+_CERTIFICATE_FIELD = PrimeField(CERTIFICATE_PRIME)
+
+
 def is_squarefree(f: BinForm) -> bool:
     """No repeated projective root over the algebraic closure, (1:0) included.
 
-    Checked on the affine chart plus multiplicity bookkeeping at (1:0); this
-    stays correct even when the characteristic divides the degree, where the
-    gcd-of-partials criterion breaks down.
+    Over Q the form is first reduced modulo ``CERTIFICATE_PRIME`` = P.  If P
+    divides no denominator and the reduction is squarefree as a form of the
+    same declared degree, f is squarefree.  The reason: a repeated root of f
+    is a repeated factor h^2 over Q, since Q is perfect, and by Gauss's lemma
+    f = c h^2 k with h, k primitive integer forms and c the content of f.
+    When f mod P is not zero, P does not divide c, so h mod P, a form of the
+    same positive degree, is a repeated factor of the reduction.  In every
+    other case (P divides a denominator, f vanishes mod P, or the reduction
+    has a repeated root) the exact gcd decides; it stays the reference.
     """
     if f.is_zero:
         raise PolyError("squarefree test on the zero form")
+    if f.field == QQ and _squarefree_mod_certificate_prime(f):
+        return True
+    return _squarefree_by_gcd(f)
+
+
+def _squarefree_mod_certificate_prime(f: BinForm) -> bool:
+    """True when the reduction of f over Q proves it squarefree; False
+    decides nothing."""
+    try:
+        reduced = BinForm(_CERTIFICATE_FIELD, f.degree, f.coeffs)
+    except ZeroDivisionError:  # the prime divides a denominator
+        return False
+    return not reduced.is_zero and _squarefree_by_gcd(reduced)
+
+
+def _squarefree_by_gcd(f: BinForm) -> bool:
+    """The exact test on a nonzero form: the multiplicity at (1:0) plus the
+    gcd of the affine chart with its derivative.
+
+    This stays correct even when the characteristic divides the degree, where
+    the gcd-of-partials criterion breaks down.
+    """
     if f.degree == 0:
         return True
     m = f.y_multiplicity()

@@ -14,6 +14,13 @@ that is exactly the condition making u2 and u3 homogeneous.  Profiles:
 * quartic ``C``: deg p_i = i           (plane quartic plus a point)
 * cubic  ``E``: q0 = 1, deg q_i = 2i   (cubic surface on a quadric cone)
 
+The discriminant forms are computed in integers, over Q and F_p alike.
+With D a common denominator of the coefficient forms and lambda = 3D, the
+weighting (u2, u3) -> (lambda^2 u2, lambda^3 u3) makes both covariants integer
+forms U, V, and 4 u2^3 + 27 u3^2 = (4 U^3 + 27 V^2) / lambda^6 with one
+division at the end (``weierstrass_discriminant``).  The Fraction covariants
+``u_invariants_quartic`` and ``u_invariants_cubic`` stay as the reference.
+
 The combination differs from the root-difference-product discriminant by a
 global constant per degree whose value is never assumed: it is measured by
 ``reconcile_with_standard`` and merely reported.
@@ -21,8 +28,10 @@ global constant per degree whose value is never assumed: it is measured by
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import binform, poly
 from .binform import BinForm
@@ -97,8 +106,107 @@ class CubicFamily:
         return UniPoly(self.field, list(reversed(vals)))
 
 
+class Cleared(NamedTuple):
+    """lambda^w times a form of weight w over ``field`` (w = 2 for u, 3 for
+    v), as raw integer coefficients, descending in x."""
+
+    field: object
+    coeffs: list
+    lam: int
+
+
+def _numerators(forms):
+    """(D, [D f for f in forms]) with D the least common denominator of the
+    coefficients (1 over F_p), each D f as raw integers."""
+    D = math.lcm(*(c.denominator for f in forms for c in f.coeffs))
+    return D, [[c.numerator * (D // c.denominator) for c in f.coeffs] for f in forms]
+
+
+def _combine(*terms):
+    """The sum of c * seq over (c, seq) pairs of raw sequences of one length."""
+    return [sum(c * seq[i] for c, seq in terms) for i in range(len(terms[0][1]))]
+
+
+def weierstrass_discriminant(u, v) -> BinForm:
+    """4 u^3 + 27 v^2: the discriminant form of Y^2 = X^3 + u X + v, a cube
+    plus a square.
+
+    ``u`` and ``v`` are forms over one field, or their integer weighting
+    (U, V) = (lambda^2 u, lambda^3 v) as ``Cleared`` values with one lambda;
+    for forms, lambda is the common denominator of their coefficients.  The
+    form is (4 U^3 + 27 V^2) / lambda^6, computed on raw integer sequences with
+    one division at the end.
+    """
+    if isinstance(u, BinForm):
+        F = same_field(u.field, v.field)
+        lam, (U, V) = _numerators((u, v))
+        U, V = [c * lam for c in U], [c * lam * lam for c in V]
+    else:
+        F, U, V, lam = u.field, u.coeffs, v.coeffs, u.lam
+    if 3 * (len(U) - 1) != 2 * (len(V) - 1):
+        raise PolyError(f"need 3 deg u = 2 deg v, got degrees {len(U) - 1} and {len(V) - 1}")
+    raw = _combine((4, poly.power(U, 3)), (27, poly.convolve(V, V)))
+    if lam != 1:
+        scale = F.inv(F.coerce(lam**6))
+        raw = [c * scale for c in raw]
+    return BinForm(F, len(raw) - 1, raw)
+
+
+def delta12_quartic(fam: QuarticFamily) -> BinForm:
+    """4 u2^3 + 27 u3^2 for the quartic family, in integers.
+
+    With D the common denominator of the p_i and P_i = D p_i, the weighting
+    lambda = 3D turns the covariants into integer forms:
+
+        U = 9 D^2 u2 = 9 P1 P3 - 36 P0 P4 - 3 P2^2
+        V = 27 D^3 u3 = 27 P1^2 P4 + 27 P0 P3^2 - 72 P0 P2 P4 - 9 P1 P2 P3 + 2 P2^3
+
+    and the form is (4 U^3 + 27 V^2) / (3D)^6.  ``u_invariants_quartic`` is
+    the Fraction reference.
+    """
+    D, (P0, P1, P2, P3, P4) = _numerators(fam.p)
+    conv = poly.convolve
+    p13, p04, p22 = conv(P1, P3), conv(P0, P4), conv(P2, P2)
+    U = _combine((9, p13), (-36, p04), (-3, p22))
+    V = _combine(
+        (27, conv(conv(P1, P1), P4)),
+        (27, conv(P0, conv(P3, P3))),
+        (-72, conv(p04, P2)),
+        (-9, conv(p13, P2)),
+        (2, conv(p22, P2)),
+    )
+    return weierstrass_discriminant(Cleared(fam.field, U, 3 * D), Cleared(fam.field, V, 3 * D))
+
+
+def delta12_cubic(fam: CubicFamily) -> BinForm:
+    """(4 u2^3 + 27 u3^2) / q0^2, in integers and then by exact division.
+
+    With Q_i = D q_i as in ``delta12_quartic`` and lambda = 3D:
+
+        U = 9 D^2 u2 = 9 Q0 Q2 - 3 Q1^2
+        V = 27 D^3 u3 = 27 Q0^2 Q3 - 9 Q0 Q1 Q2 + 2 Q1^3
+
+    The division by q0^2 is exact identically in the coefficients; a
+    remainder signals an implementation bug, not bad input.
+    ``u_invariants_cubic`` is the Fraction reference.
+    """
+    q0 = fam.q[0]
+    if q0.is_zero:
+        raise PolyError("cubic family with q0 = 0")
+    D, (Q0, Q1, Q2, Q3) = _numerators(fam.q)
+    conv = poly.convolve
+    q11 = conv(Q1, Q1)
+    U = _combine((9, conv(Q0, Q2)), (-3, q11))
+    V = _combine((27, conv(conv(Q0, Q0), Q3)), (-9, conv(conv(Q0, Q1), Q2)), (2, conv(q11, Q1)))
+    num = weierstrass_discriminant(Cleared(fam.field, U, 3 * D), Cleared(fam.field, V, 3 * D))
+    if num.is_zero:
+        return BinForm.zero(fam.field, num.degree - 2 * q0.degree)
+    return num.divexact(q0 * q0)
+
+
 def u_invariants_quartic(fam: QuarticFamily):
-    """u2 = p1 p3 - 4 p0 p4 - p2^2/3;
+    """The Fraction reference for the integer covariants of ``delta12_quartic``:
+    u2 = p1 p3 - 4 p0 p4 - p2^2/3;
     u3 = p1^2 p4 + p0 p3^2 - 8 p0 p2 p4/3 - p1 p2 p3/3 + 2 p2^3/27."""
     F = fam.field
     p0, p1, p2, p3, p4 = fam.p
@@ -114,19 +222,9 @@ def u_invariants_quartic(fam: QuarticFamily):
     return u2, u3
 
 
-def weierstrass_discriminant(u: BinForm, v: BinForm) -> BinForm:
-    """4 u^3 + 27 v^2: the discriminant form of Y^2 = X^3 + u X + v, a cube
-    plus a square."""
-    return (u ** 3).scale(4) + (v * v).scale(27)
-
-
-def delta12_quartic(fam: QuarticFamily) -> BinForm:
-    """4 u2^3 + 27 u3^2 for the quartic family."""
-    return weierstrass_discriminant(*u_invariants_quartic(fam))
-
-
 def u_invariants_cubic(fam: CubicFamily):
-    """u2 = q0 q2 - q1^2/3;  u3 = q0^2 q3 - q0 q1 q2/3 + 2 q1^3/27."""
+    """The Fraction reference for the integer covariants of ``delta12_cubic``:
+    u2 = q0 q2 - q1^2/3;  u3 = q0^2 q3 - q0 q1 q2/3 + 2 q1^3/27."""
     F = fam.field
     q0, q1, q2, q3 = fam.q
     third = F.div(F.one(), F.coerce(3))
@@ -137,21 +235,6 @@ def u_invariants_cubic(fam: CubicFamily):
         + (q1 * q1 * q1).scale(F.div(F.coerce(2), F.coerce(27)))
     )
     return u2, u3
-
-
-def delta12_cubic(fam: CubicFamily) -> BinForm:
-    """(4 u2^3 + 27 u3^2) / q0^2, by exact division.
-
-    The division is exact identically in the coefficients; a remainder
-    signals an implementation bug, not bad input.
-    """
-    q0 = fam.q[0]
-    if q0.is_zero:
-        raise PolyError("cubic family with q0 = 0")
-    num = weierstrass_discriminant(*u_invariants_cubic(fam))
-    if num.is_zero:
-        return BinForm.zero(fam.field, num.degree - 2 * q0.degree)
-    return num.divexact(q0 * q0)
 
 
 def reconcile_with_standard(probes: int = 50, seed: int = 0):

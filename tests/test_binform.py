@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,6 +7,7 @@ from cubesquare import binform
 from cubesquare.binform import BinForm
 from cubesquare.fields import QQ, PrimeField
 from cubesquare.poly import PolyError
+from test_cli import _counting
 
 F5 = PrimeField(5)
 F11 = PrimeField(11)
@@ -110,3 +112,55 @@ def test_roots_fp_projective():
     assert binform.roots_fp(xy) == {(1, 0): 1, (0, 1): 1}
     f = BinForm(F5, 3, [0, 0, 0, 1])  # y^3
     assert binform.roots_fp(f) == {(1, 0): 3}
+
+
+P = binform.CERTIFICATE_PRIME
+
+
+def _over_q(calls):
+    """The forms over Q among counted calls of the exact gcd test."""
+    return [f for (f,) in calls if f.field == QQ]
+
+
+@pytest.mark.parametrize(
+    "coeffs, squarefree, fallbacks",
+    [
+        ([1] + [0] * 11 + [1], True, 0),  # x^12 + y^12: certified mod P
+        ([1, 0, -P], True, 1),  # x^2 - P y^2: P divides the discriminant
+        ([Fraction(1, P), 0, -1], True, 1),  # P in a denominator
+        ([P, 0, -P], True, 1),  # content divisible by P: vanishes mod P
+        ([1, 0, -3, 2], False, 1),  # (x - y)^2 (x + 2y)
+        ([0, 0, P, 1], False, 1),  # y^2 (P x + y): y^3 mod P, a triple root at (1:0)
+    ],
+)
+def test_squarefree_certificate_and_each_fallback(monkeypatch, coeffs, squarefree, fallbacks):
+    calls = _counting(monkeypatch, binform, "_squarefree_by_gcd")
+    assert binform.is_squarefree(BinForm(QQ, len(coeffs) - 1, coeffs)) is squarefree
+    assert len(_over_q(calls)) == fallbacks
+
+
+def _random_q_form(rng, degree):
+    while True:
+        f = BinForm(
+            QQ, degree, [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(degree + 1)]
+        )
+        if not f.is_zero:
+            return f
+
+
+def test_squarefree_certificate_agrees_with_the_exact_test(monkeypatch):
+    rng = random.Random(13)
+    forms = []
+    for i in range(200):
+        if i % 4 == 0:  # planted h^2 k with deg h in 1..3
+            e = rng.randint(1, 3)
+            h = _random_q_form(rng, e)
+            forms.append(h * h * _random_q_form(rng, 12 - 2 * e))
+        else:
+            forms.append(_random_q_form(rng, 12))
+    reference = [binform._squarefree_by_gcd(f) for f in forms]
+    assert not any(reference[::4])
+    calls = _counting(monkeypatch, binform, "_squarefree_by_gcd")
+    assert [binform.is_squarefree(f) for f in forms] == reference
+    # Every squarefree form is certified mod P; only the others fall back.
+    assert len(_over_q(calls)) == reference.count(False)

@@ -349,6 +349,27 @@ def test_fibration_info_tests_delta_once(tmp_path, capsys, monkeypatch):
     assert len(built) == 1
 
 
+def test_fibration_info_on_400_digit_coefficients_needs_no_exact_gcd(tmp_path, capsys, monkeypatch):
+    import random as _random
+
+    from cubesquare import binform
+    from cubesquare.fields import QQ
+
+    rng = _random.Random(400)
+
+    def form(degree):
+        coeffs = [str(rng.choice((-1, 1)) * rng.randrange(10**399, 10**400)) for _ in range(degree + 1)]
+        return {"degree": degree, "field": {"kind": "Q"}, "coeffs": coeffs}
+
+    path = _write(tmp_path, "big.json", {"a": form(4), "b": form(6)})
+    exact = _counting(monkeypatch, binform, "_squarefree_by_gcd")
+    code, out = run_cli(capsys, "fibration-info", "--in", path)
+    assert code == 0
+    assert json.loads(out)["payload"]["in_A"] is True
+    # The certificate mod a prime decides; the exact gcd over Q never runs.
+    assert [f for (f,) in exact if f.field == QQ] == []
+
+
 def test_fibration_halving_checks_section_once(tmp_path, capsys, monkeypatch):
     from cubesquare import fibration, jsonio
     from cubesquare.fields import PrimeField

@@ -15,6 +15,7 @@ from cubesquare.families import (
     to_b_point,
     u_invariants_cubic,
     u_invariants_quartic,
+    weierstrass_discriminant,
 )
 from cubesquare.fields import QQ, PrimeField
 from cubesquare.poly import PolyError, UniPoly, discriminant
@@ -218,6 +219,39 @@ def test_to_b_point():
     bad = to_b_point(BinForm.zero(QQ, 4), BinForm.monomial(QQ, 6, 0))
     assert not bad.is_valid()
     assert bad.degree12() == BinForm.monomial(QQ, 12, 0, 27)
+
+
+def _random_coefficient_form(rng, field, degree):
+    """Over Q, coefficients with denominators up to 9; over F_p, any residue."""
+    if field == QQ:
+        cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(degree + 1)]
+    else:
+        cs = [rng.randrange(field.p) for _ in range(degree + 1)]
+    return BinForm(field, degree, cs)
+
+
+@pytest.mark.parametrize("field", [QQ, F1009], ids=["Q", "F1009"])
+def test_integer_covariants_match_the_fraction_reference(field):
+    rng = random.Random(14)
+    for _ in range(30):
+        base, step = rng.randint(0, 3), rng.randint(0, 2)
+        p = [_random_coefficient_form(rng, field, base + i * step) for i in range(5)]
+        quartic = QuarticFamily(*p)
+        u2, u3 = u_invariants_quartic(quartic)
+        reference = weierstrass_discriminant(u2, u3)
+        assert delta12_quartic(quartic) == reference
+        # weierstrass_discriminant against plain form arithmetic
+        assert reference == (u2**3).scale(4) + (u3 * u3).scale(27)
+        if p[0].is_zero:
+            continue
+        cubic = CubicFamily(*p[:4])
+        q0 = cubic.q[0]
+        assert delta12_cubic(cubic) * (q0 * q0) == weierstrass_discriminant(*u_invariants_cubic(cubic))
+
+
+def test_weierstrass_discriminant_needs_3_deg_u_equal_to_2_deg_v():
+    with pytest.raises(PolyError):
+        weierstrass_discriminant(BinForm(QQ, 4, [1, 0, 0, 0, 1]), BinForm(QQ, 5, [1, 0, 0, 0, 0, 1]))
 
 
 def test_every_cube_plus_square_discriminant_is_the_one_formula(monkeypatch):

@@ -54,6 +54,8 @@ KEPT = {
     "recillas.HurwitzTuple.conjugate": "test oracle: checks what roundtrip_check returns",
     "recillas.Perm.cycle_type": "test oracle: checks the images of s4_to_s6",
     "families.BPoint.is_valid": "test oracle: checks the nodal verdict of fibration-info",
+    "families.u_invariants_quartic": "reference: the Fraction route to delta12_quartic's integer covariants",
+    "families.u_invariants_cubic": "reference: the Fraction route to delta12_cubic's integer covariants",
     "picard.reflect": "input builder: Weyl-moved octuples for the reconstruct_e0 tests",
     "picard.DivClass.scale": "input builder: multiples of classes for the picard tests",
     "binform.BinForm.monomial": "input builder: monomial forms for the tests",
@@ -81,9 +83,7 @@ REACHES = {
         "poly.discriminant",
         "binform.is_squarefree",
         "binform.roots_fp",
-        "families.u_invariants_quartic",
         "families.delta12_quartic",
-        "families.u_invariants_cubic",
         "families.delta12_cubic",
         "families.reconcile_with_standard",
         "families.weierstrass_discriminant",
@@ -237,6 +237,11 @@ def branch_argvs(tmp_path):
     )
     on_x0 = {"model": jsonio.model_to_json(w), "section": jsonio.section_to_json(s)}
     on_o = {"model": on_x0["model"], "section": {"zero": True}}
+    q = {"kind": "Q"}
+    cusp = {  # a = 0, b = x^2 y^4: delta = 27 x^4 y^8
+        "a": {"degree": 4, "field": q, "coeffs": [0] * 5},
+        "b": {"degree": 6, "field": q, "coeffs": [0, 0, 0, 0, 1, 0, 0]},
+    }
     return [
         # Over Q: parsing, formatting, square roots and differences of Fractions.
         ["fibration-halving", "--in", _write(tmp_path, "q.json", PINNED_HALVING_INPUTS["Q"])],
@@ -246,6 +251,9 @@ def branch_argvs(tmp_path):
         ["fibration-halving", "--in", _write(tmp_path, "o.json", on_o)],
         # A malformed command line (exit 2).
         ["z-search", "--F", "F.json", "--jobs", "x"],
+        # A non-squarefree delta over Q: the exact gcd decides after the
+        # certificate mod a prime does not.
+        ["fibration-info", "--in", _write(tmp_path, "cusp.json", cusp)],
     ]
 
 
@@ -302,7 +310,8 @@ def test_every_function_is_reached_or_kept(profiled):
     assert all(reason.split(":")[0] in KINDS for reason in KEPT.values())
     names = set(defined.values()) | set(module_constants())
     assert set(KEPT) <= names, f"KEPT names nothing defined: {sorted(set(KEPT) - names)}"
-    assert [run.code for run in branches] == [0, 0, 2, 2]
+    assert [run.code for run in branches] == [0, 0, 2, 2, 0]
+    assert _reports(branches[-1].out)[0]["payload"]["in_A"] is False
 
     started = set().union(*(run.started for run in [*small.values(), *branches]))
     unreached = sorted({n for key, n in defined.items() if key not in started} - set(KEPT))
