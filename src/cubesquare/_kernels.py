@@ -3,36 +3,60 @@
 ``decompose_scan`` finds every f of degree d for which C = F - f^3 is a
 perfect square.  The candidates are the q^(d+1) coefficient vectors f, with
 index f0 + f1 q + ... + fd q^d (f0 the leading coefficient).  The scan does
-not test them all: it eliminates the last coefficient fd.
+not test them all: it eliminates the last coefficient fd and checks the
+coefficient after the one it solved on.
 
 Take descending coefficients and write g^2 = C, gdeg = 3d/2, k = gdeg + 1.
 When C0 = F0 - f0^3 is a nonzero square, the leading-coefficient recurrence
-fixes g0..g_gdeg from C0..C_gdeg, and the first coefficient it does not use
-must then satisfy
+fixes g0..g_gdeg from C0..C_gdeg, and the first two coefficients it does not
+use must then satisfy, with t = fd,
 
-    R(t) = C_k - (g1 g_{k-1} + g2 g_{k-2} + ... + g_{k-1} g1) = 0,  t = fd.
+    R(t) = C_k - (g1 g_{k-1} + g2 g_{k-2} + ... + g_{k-1} g1) = 0,
+    S(t) = C_{k+1} - (g2 g_{k-1} + g3 g_{k-2} + ... + g_{k-1} g2) = 0.
 
-For d >= 4, R is affine in t: t^2 first appears in f^3 at coefficient
-2d > k, and the g_i that involve t (i >= d) never pair up to index k.  For
-d = 2 it is quadratic.  C0 depends on f0 alone, so the vectorised prefix
-pass keeps only the prefixes f0..f_{d-1} whose C0 is a nonzero square,
-about half of the q^d; a nonzero non-square C0 passes nothing on.  On those
-it builds C_m (m < d) and g_0..g_{d-1}, which do not involve t, once, then
-redoes the steps from index d on at t = 0, 1 (and 2 when d = 2) and
-interpolates R, so each prefix yields 0, 1 or 2 values of fd.  All q values
-pass on from a prefix on which R vanishes identically.
+With p the prefix f0..f_{d-1}, f^3 = p^3 + 3t y^d p^2 + 3t^2 y^(2d) p +
+t^3 y^(3d): C_m is free of t for m < d, affine in t for d <= m < 2d, and
+t^3 enters only at m = 3d > k + 1.  So g_0..g_{d-1} are free of t, and
+g_d..g_gdeg are affine in t as long as no two of them pair up below the
+index they feed.
+
+* d >= 4: R is affine, since two indices >= d first pair up at 2d > k.
+  S is affine for d >= 6.  For d = 4, k + 1 = 2d, and t^2 enters S twice:
+  through -3 t^2 f0 in C_8 and through g_4^2, where g_4 has slope
+  -3 f0^2 / (2 g0).  So the t^2 coefficient of S is -3 f0 - 9 f0^4 / (4 C0),
+  computed in closed form.
+* d = 2: R and S are both quadratic.  g_2 and g_3 are affine with slopes
+  b2 = -3 f0^2 / (2 g0) and b3 = -(3 f0 f1 + g1 b2) / g0, and S = C_5 - 2 g2 g3
+  has t^2 coefficient -3 f1 - 2 b2 b3.  The pass evaluates at a third t for R
+  anyway, so it interpolates S from the same three values.
+
+C0 depends on f0 alone, so the vectorised prefix pass keeps only the
+prefixes whose C0 is a nonzero square, about half of the q^d; a nonzero
+non-square C0 passes nothing on.  On those it builds C_m (m < d) and
+g_0..g_{d-1} once, then redoes the steps from index d on at t = 0, 1 (and 2
+when d = 2) and interpolates R and S.  Each prefix yields the 0, 1 or 2
+roots of R, or all q values of t when R vanishes identically, and of those
+only the values where S vanishes pass on.
 
 The degenerate slice C0 = 0 (f0^3 = F0, at most three values of f0) is
 solved apart.  A square cannot start at an odd index, so C1 = F1 - 3 f0^2 f1
 must vanish too: with f0 != 0 that fixes f1, and with f0 = 0 (so F0 = 0)
-the slice survives only when F1 = 0, with f1 free.  f2..fd stay free, so
-the slice passes on (cube roots of F0) * q^(d-1) candidates, or q^d when
-F0 = F1 = 0 (y^2 divides F, which is then not squarefree).
+the slice survives only when F1 = 0, with f1 free.  f2..fd stay free, which
+leaves (cube roots of F0) * q^(d-1) rows, or q^d when F0 = F1 = 0 (y^2
+divides F, which is then not squarefree).  On these rows the recurrence
+restarts at C2 with g_1 = sqrt(C2), fixes g_2..g_gdeg from C3..C_k, and
+the residuals of coefficients k + 1 and k + 2 must vanish.  A nonzero
+non-square C2 passes nothing on, and C2 = 0 passes the row on when C3 = 0
+as well.  Here t enters earlier: g_{d-1} is affine, so g_{d-1}^2 makes
+g_{2d-3} quadratic and the residuals are cubic in t for d = 4; for d = 2,
+C2 itself involves t.  The slice is small, so its rows are tested at every
+value of t instead of being interpolated.
 
 The elimination only prunes.  Every surviving candidate goes through the
 full perfect-square test on all 3d + 1 coefficients of C, the test the
 plain-Python ``_scan_python_reference`` applies to every candidate; the
-tests compare the two.
+tests compare the two.  The vectorised columns are int32; every
+intermediate stays below (3d/2 + 2) q^2, which ``decompose_scan`` bounds.
 """
 
 from __future__ import annotations
@@ -46,7 +70,7 @@ def backend_name() -> str:
 
 def sqrt_table(q: int) -> np.ndarray:
     """table[s] = canonical square root of s mod q (the smaller one), else -1."""
-    table = np.full(q, -1, dtype=np.int64)
+    table = np.full(q, -1, dtype=np.int32)
     for r in range(q):
         s = r * r % q
         c = min(r, q - r) if r else 0
@@ -57,7 +81,7 @@ def sqrt_table(q: int) -> np.ndarray:
 
 def _inverse_table(q: int) -> np.ndarray:
     """table[x] = x^-1 mod q for x != 0; table[0] = 0."""
-    table = np.zeros(q, dtype=np.int64)
+    table = np.zeros(q, dtype=np.int32)
     for x in range(1, q):
         table[x] = pow(x, -1, q)
     return table
@@ -122,13 +146,21 @@ def _square_root_desc(C, q, gdeg, table):
     return gam
 
 
+def _mod(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q.  numpy divides an integer array by a scalar several times
+    faster than it takes the remainder, so the remainder is built from the
+    quotient."""
+    return x - x // q * q
+
+
 def _digits(idx: np.ndarray, q: int, n: int) -> list:
-    """The n base-q digits of each index, lowest first."""
+    """The n base-q digits of each index, lowest first, as int32 columns."""
     out = []
-    t = idx.copy()
+    t = idx
     for _ in range(n):
-        out.append(t % q)
-        t //= q
+        quo = t // q
+        out.append((t - quo * q).astype(np.int32))
+        t = quo
     return out
 
 
@@ -139,36 +171,38 @@ def _conv(q: int, a: list, b: list, n: int) -> list:
         acc = np.zeros_like(a[0])
         for u in range(max(0, m - len(b) + 1), min(len(a) - 1, m) + 1):
             acc += a[u] * b[m - u]
-        out.append(acc % q)
+        out.append(_mod(acc, q))
     return out
 
 
 def _residual_columns(q: int, F: np.ndarray, c: list, n: int) -> list:
     """C[m] = F[m] - (f^3)[m] mod q for m < n; c holds the digit columns of f."""
     cube = _conv(q, _conv(q, c, c, min(n, 2 * len(c) - 1)), c, n)
-    return [(int(F[m]) - cube[m]) % q for m in range(n)]
+    return [_mod(int(F[m]) - cube[m], q) for m in range(n)]
 
 
-def _recurrence_residual(q: int, C, gam: list, i: int):
-    """C_i - (g_1 g_(i-1) + ... + g_(i-1) g_1) mod q: 2 g_0 g_i when i < k,
-    R when i = k."""
+def _recurrence_residual(q: int, C, gam: list, m: int, h: int = 0):
+    """C_m - (sum of g_u g_(m-u) over h < u, m - u < len(gam)) mod q, for a
+    square whose leading term is g_h.  While gam holds g_h..g_(m-h-1) this is
+    2 g_h g_(m-h); once g is complete, it is the residual of coefficient m."""
     acc = C.copy()
-    for u in range(1, i):
-        acc -= gam[u] * gam[i - u]
-    return acc % q
+    for u in range(max(h + 1, m - len(gam) + 1), min(m - h, len(gam))):
+        acc -= gam[u] * gam[m - u]
+    return _mod(acc, q)
 
 
 def _prefix_residuals(q: int, F: np.ndarray, d: int, table, inv):
     """The prefixes f0..f_{d-1} on which C0 is a nonzero square, as indices
     f0 + f1 q + ... + f_{d-1} q^(d-1), and on each the coefficients (a, b, c)
-    of R(t) = a + b t + c t^2.
+    of R(t) = a + b t + c t^2 and of S(t), the residual of coefficient k + 1.
 
     C0 = F0 - f0^3 depends on f0 alone, so the prefixes kept are those whose
     f0 makes it a nonzero square: about half of the q^d.  With p the prefix
     and t = fd, f = p + t y^d and f^3 = p^3 + 3t y^d p^2 + 3t^2 y^(2d) p +
     t^3 y^(3d), so C_m for m < d, and with it g_0..g_(d-1), does not involve
     t.  They are built once; only the steps from index d on are redone at
-    each t.
+    t = 0, 1 (and 2 when d = 2).  The t^2 coefficient of S is known in
+    closed form for d = 4 and is 0 for d >= 6 (see the module docstring).
     """
     k = 3 * d // 2 + 1
     f0 = np.arange(q, dtype=np.int64)
@@ -176,72 +210,99 @@ def _prefix_residuals(q: int, F: np.ndarray, d: int, table, inv):
     square = np.nonzero((c0 != 0) & (table[c0] >= 0))[0]
     prefix = (square + q * np.arange(q ** (d - 1), dtype=np.int64)[:, None]).ravel()
     c = _digits(prefix, q, d)
-    s = _conv(q, c, c, min(k + 1, 2 * d - 1))
-    C = [(int(F[m]) - x) % q for m, x in enumerate(_conv(q, s, c, k + 1))]
+    s = _conv(q, c, c, 2 * d - 1)
+    C = [_mod(int(F[m]) - x, q) for m, x in enumerate(_conv(q, s, c, k + 2))]
     g0 = table[C[0]]
-    inv2g0 = inv[2 * g0 % q]
+    inv2g0 = inv[_mod(2 * g0, q)]
     gam = [g0]
     for i in range(1, d):
-        gam.append(_recurrence_residual(q, C[i], gam, i) * inv2g0 % q)
+        gam.append(_mod(_recurrence_residual(q, C[i], gam, i) * inv2g0, q))
+
+    def at(t, m):
+        """C_m at fd = t: C_m - 3t (p^2)_(m-d) - 3t^2 p_(m-2d)."""
+        shift = s[m - d] if m - d < len(s) else 0
+        if m >= 2 * d:
+            shift = shift + t * c[m - 2 * d]
+        return _mod(C[m] - 3 * t * shift, q)
+
     values = []
     for t in range(3 if d == 2 else 2):
-        Ct = C[:d]
-        for m in range(d, k + 1):
-            shift = 3 * t * s[m - d] + (3 * t * t * c[m - 2 * d] if m >= 2 * d else 0)
-            Ct.append((C[m] - shift) % q)
+        Ct = C[:d] + [at(t, m) for m in range(d, k + 2)] if t else C
         g = gam[:]
         for i in range(d, k):
-            g.append(_recurrence_residual(q, Ct[i], g, i) * inv2g0 % q)
-        values.append(_recurrence_residual(q, Ct[k], g, k))
-    r0, r1 = values[:2]
-    cc = np.zeros_like(r0)
+            g.append(_mod(_recurrence_residual(q, Ct[i], g, i) * inv2g0, q))
+        values.append([_recurrence_residual(q, Ct[m], g, m) for m in (k, k + 1)])
+    (r0, s0), (r1, s1) = values[:2]
     if d == 2:
-        cc = (values[2] - 2 * r1 + r0) % q * ((q + 1) // 2) % q
-    b = (r1 - r0 - cc) % q
-    return prefix, r0, b, cc
+        r2, s2 = values[2]
+        half = (q + 1) // 2
+        rc = _mod((r2 - 2 * r1 + r0) * half, q)
+        sc = _mod((s2 - 2 * s1 + s0) * half, q)
+    else:
+        rc = sc = np.zeros_like(r0)
+        if d == 4:
+            sc = _mod(-(3 * c[0] + _mod(9 * _mod(c[0] * c[0], q) ** 2, q) * inv[_mod(4 * C[0], q)]), q)
+    return prefix, (r0, _mod(r1 - r0 - rc, q), rc), (s0, _mod(s1 - s0 - sc, q), sc)
 
 
-def _slice_candidates(q: int, F: np.ndarray, d: int, inv) -> list:
+def _slice_candidates(q: int, F: np.ndarray, d: int, table, inv) -> np.ndarray:
     """Indices of the candidates on the slice C0 = F0 - f0^3 = 0.
 
     A square cannot start at an odd index, so C1 = F1 - 3 f0^2 f1 must vanish
     as well.  With f0 != 0 that fixes f1; with f0 = 0 (so F0 = 0) it asks
-    F1 = 0 and then leaves f1 free.  f2..fd stay free.
+    F1 = 0 and then leaves f1 free.  f2..fd stay free, and each of these rows
+    is tested on coefficients 2..k + 2 of C only.  Where C2 is a nonzero
+    square the recurrence restarts there, at g_1 = sqrt(C2), and the residuals
+    of coefficients k + 1 and k + 2 must vanish.  A nonzero non-square C2
+    passes nothing on.  Where C2 = 0 the row passes on when C3 = 0 too.
     """
-    out = []
+    parts = []
     for f0 in range(q):
         if (f0**3 - int(F[0])) % q:
             continue
         if f0:
             f1 = int(F[1]) * int(inv[3 * f0 * f0 % q]) % q
-            out.append(f0 + q * f1 + q * q * np.arange(q ** (d - 1), dtype=np.int64))
+            parts.append(f0 + q * f1 + q * q * np.arange(q ** (d - 1), dtype=np.int64))
         elif F[1] == 0:
-            out.append(q * np.arange(q**d, dtype=np.int64))
-    return out
+            parts.append(q * np.arange(q**d, dtype=np.int64))
+    if not parts:
+        return np.zeros(0, dtype=np.int64)
+    idx = np.concatenate(parts)
+    k = 3 * d // 2 + 1
+    C = _residual_columns(q, F, _digits(idx, q, d + 1), k + 3)
+    g1 = table[C[2]]
+    inv2g1 = inv[_mod(2 * g1, q)]
+    gam = [None, g1]
+    for i in range(2, k):
+        gam.append(_mod(_recurrence_residual(q, C[i + 1], gam, i + 1, 1) * inv2g1, q))
+    fits = (C[2] != 0) & (g1 >= 0)
+    for m in (k + 1, k + 2):
+        fits &= _recurrence_residual(q, C[m], gam, m, 1) == 0
+    return idx[fits | ((C[2] == 0) & (C[3] == 0))]
 
 
 def _candidates(q: int, F: np.ndarray, d: int, table, inv) -> np.ndarray:
-    """Indices of the candidates f that survive the elimination of fd."""
-    prefix, a, b, c = _prefix_residuals(q, F, d, table, inv)
-    every = (a == 0) & (b == 0) & (c == 0)
+    """Indices of the candidates f that survive the elimination of fd and
+    the test of the next coefficient."""
+    prefix, (a, b, c), (sa, sb, sc) = _prefix_residuals(q, F, d, table, inv)
 
-    r = table[(b * b - 4 * a % q * c) % q]
-    quad = (c != 0) & (r >= 0)
-    two = quad & (r != 0)
-    inv2c = inv[2 * c % q]
-    root1 = (r - b) % q * inv2c % q
-    root2 = (-r - b) % q * inv2c % q
+    def passing(rows, t):
+        """prefix + q^d t at the rows where S(t) = 0 as well."""
+        keep = _mod(sa[rows] + t * _mod(sb[rows] + t * sc[rows], q), q) == 0
+        return prefix[rows[keep]] + q**d * t[keep].astype(np.int64)
 
-    lin = (c == 0) & (b != 0)
-    root_lin = -a % q * inv[b] % q
-
-    step = q**d
-    parts = _slice_candidates(q, F, d, inv) + [
-        (prefix[every, None] + step * np.arange(q, dtype=np.int64)).ravel(),
-        prefix[quad] + step * root1[quad],
-        prefix[two] + step * root2[two],
-        prefix[lin] + step * root_lin[lin],
-    ]
+    parts = [_slice_candidates(q, F, d, table, inv)]
+    lin = np.nonzero((c == 0) & (b != 0))[0]
+    parts.append(passing(lin, _mod(-a[lin] * inv[b[lin]], q)))
+    quad = np.nonzero(c)[0]
+    if quad.size:
+        qa, qb, qc = a[quad], b[quad], c[quad]
+        r = table[_mod(qb * qb - 4 * qa * qc, q)]
+        inv2c = inv[_mod(2 * qc, q)]
+        for root, has in ((r, r >= 0), (-r, r > 0)):
+            parts.append(passing(quad[has], _mod((root - qb) * inv2c, q)[has]))
+    every = np.nonzero((a == 0) & (b == 0) & (c == 0))[0]
+    parts.append(passing(np.repeat(every, q), np.tile(np.arange(q, dtype=np.int32), every.size)))
     return np.concatenate(parts)
 
 
@@ -309,13 +370,16 @@ def decompose_scan(q: int, F_desc, d: int, lo: int = 0, hi: int | None = None):
     the canonical square root (its leading value is the smaller residue).
     The companion pair (f, -g) is implied.  Only pairs whose index
     f0 + f1 q + ... + fd q^d lies in [lo, hi) are returned; every call makes
-    the whole prefix pass.  Results are sorted.  q is a prime of at least 5:
-    the scan divides by 2 and by 3.
+    the whole prefix pass.  Results are sorted.  q is a prime of at least 5,
+    since the scan divides by 2 and by 3, and (3d/2 + 2) q^2 < 2^31, since
+    its columns are int32.
     """
     if d < 2 or d % 2:
         raise ValueError("coefficient degree must be even and at least 2")
     if q < 5:
         raise ValueError("the scan needs q >= 5: it divides by 2 and by 3")
+    if (3 * d // 2 + 2) * q * q >= 2**31:
+        raise ValueError("the scan's int32 columns need (3d/2 + 2) q^2 < 2^31")
     total = q ** (d + 1)
     if hi is None:
         hi = total

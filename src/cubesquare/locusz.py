@@ -154,10 +154,12 @@ def decompose_fq(form: BinForm, jobs: int = 1) -> list[DecompositionOrbit]:
 
     Exhaustive over all q^(d+1) candidate f.  The scan keeps the prefixes
     f0..f_{d-1} whose C0 = F0 - f0^3 is a nonzero square (about half of the
-    q^d) and solves for the last coefficient on them; the slice C0 = 0 is
-    solved apart (see ``_kernels``).  With
-    ``jobs`` > 1 the candidate range is split over that many worker
-    processes; the orbits do not depend on ``jobs``.  For sextics the
+    q^d), solves for the last coefficient on them and keeps only the values
+    that also satisfy the next coefficient of the square-root recurrence.
+    On the slice C0 = 0 the recurrence restarts at C2 under the same two
+    constraints (see ``_kernels``).  Every survivor gets the full
+    perfect-square test.  With ``jobs`` > 1 the candidate range is split
+    over that many worker processes; the orbits do not depend on ``jobs``.  For sextics the
     per-field orbit count is empirical data: a lower bound for the geometric
     count of essentially different decompositions, never asserted to equal
     any particular value.

@@ -114,11 +114,11 @@ def criterion_discriminants(seed: int = 1):
 
 
 @_suite("fibration-two-torsion", budget=60.0)
-def criterion_fibration(seed: int = 1):
+def criterion_fibration(seed: int = 1, nodal: int = 50, planted: int = 20):
     field = PrimeField(1009)
     rng = random.Random(seed)
     branch_ok = 0
-    for _ in range(50):
+    for _ in range(nodal):
         w = fibration.random_nodal_model(field, rng)
         delta = w.delta
         droots = binform.roots_fp(delta)
@@ -142,7 +142,7 @@ def criterion_fibration(seed: int = 1):
 
     halving_ok = 0
     divisible_ok = 0
-    for _ in range(20):
+    for _ in range(planted):
         w, s = fibration.random_planted_model(field, rng)
         fam = fibration.halving_quartic(w, s)
         fibers_checked = 0
@@ -172,9 +172,9 @@ def criterion_fibration(seed: int = 1):
         except upoly.PolyError:
             pass
     checks = {
-        "branch_locus_50": branch_ok == 50,
-        "halving_20": halving_ok == 20,
-        "delta12_divisible_20": divisible_ok == 20,
+        f"branch_locus_{nodal}": branch_ok == nodal,
+        f"halving_{planted}": halving_ok == planted,
+        f"delta12_divisible_{planted}": divisible_ok == planted,
     }
     return all(checks.values()), {
         "branch_ok": branch_ok,
@@ -360,15 +360,19 @@ def criterion_registry():
 def run_all(trials: int | None = None, seed: int = 1):
     """Run every acceptance suite; returns the list of result dicts.
 
-    ``trials`` sets the round trips of criterion 5 and, up to 100, the plants
-    of criterion 6; None runs 1000 round trips and 100 plants."""
-    roundtrips, plants = (1000, 100) if trials is None else (trials, min(trials, 100))
+    ``trials`` sets the round trips of criterion 5 and caps the models of
+    criterion 4 (50 nodal, 20 planted) and the plants of criterion 6 (100);
+    None runs 1000 round trips and the full counts."""
+
+    def upto(n):
+        return n if trials is None else min(trials, n)
+
     return [
         criterion_e8(),
         criterion_picard(),
         criterion_discriminants(seed=seed),
-        criterion_fibration(seed=seed),
-        criterion_recillas(trials=roundtrips, seed=seed),
-        criterion_locus(plants=plants, seed=seed),
+        criterion_fibration(seed=seed, nodal=upto(50), planted=upto(20)),
+        criterion_recillas(trials=1000 if trials is None else trials, seed=seed),
+        criterion_locus(plants=upto(100), seed=seed),
         criterion_registry(),
     ]

@@ -116,16 +116,81 @@ def test_slice_with_vanishing_leading_target_matches_reference(q, d):
     assert not any(fr[0] == 0 for fr, _ in hits)
 
 
-def test_prefix_pass_keeps_the_square_leading_residuals():
-    q, d = 7, 4
+def _residual_coeffs(q, F, f):
+    """C = F - f^3 in plain Python, f and F descending."""
+    d = len(f) - 1
+    cube = [0] * (3 * d + 1)
+    for u in range(d + 1):
+        for v in range(d + 1):
+            for w in range(d + 1):
+                cube[u + v + w] += f[u] * f[v] * f[w]
+    return [(F[m] - cube[m]) % q for m in range(3 * d + 1)]
+
+
+def _tail_residuals(q, F, f, h):
+    """The residuals of coefficients k + h and k + h + 1 of C = F - f^3 for
+    the square root that starts at g_h = sqrt(C_2h), by the plain recurrence;
+    None when C_2h is not a nonzero square."""
+    gdeg = 3 * (len(f) - 1) // 2
+    C = _residual_coeffs(q, F, f)
+    r = next((x for x in range(1, q) if x * x % q == C[2 * h]), None)
+    if r is None:
+        return None
+    g = [0] * (gdeg + 1)
+    g[h] = r
+    for i in range(h + 1, gdeg + 1):
+        acc = C[i + h] - sum(g[u] * g[i + h - u] for u in range(h + 1, i))
+        g[i] = acc * pow(2 * r, -1, q) % q
+    return [
+        (C[m] - sum(g[u] * g[m - u] for u in range(max(0, m - gdeg), gdeg + 1))) % q
+        for m in (gdeg + 1 + h, gdeg + 2 + h)
+    ]
+
+
+@pytest.mark.parametrize("q,d", [(7, 4), (11, 2)])
+def test_prefix_pass_keeps_the_square_leading_residuals(q, d):
     rng = random.Random(6)
     _, form = _random_target(q, d, rng)
-    F = np.asarray([int(c) for c in form.coeffs], dtype=np.int64)
+    coeffs = [int(c) for c in form.coeffs]
+    F = np.asarray(coeffs, dtype=np.int64)
     table, inv = _kernels.sqrt_table(q), _kernels._inverse_table(q)
-    prefix, a, b, c = _kernels._prefix_residuals(q, F, d, table, inv)
+    prefix, r, s = _kernels._prefix_residuals(q, F, d, table, inv)
     c0 = [(int(F[0]) - (p % q) ** 3) % q for p in range(q**d)]
     assert sorted(prefix.tolist()) == [p for p in range(q**d) if c0[p] and table[c0[p]] >= 0]
-    assert a.shape == b.shape == c.shape == prefix.shape
+    assert all(x.shape == prefix.shape for x in r + s)
+    # R(t) and S(t), interpolated (and for d = 4 with the closed-form t^2
+    # coefficient of S), agree with the plain recurrence at every t.
+    for row in rng.sample(range(prefix.size), min(60, prefix.size)):
+        p = [int(prefix[row]) // q**i % q for i in range(d)]
+        for t in range(q):
+            at = [(int(x[0][row]) + int(x[1][row]) * t + int(x[2][row]) * t * t) % q for x in (r, s)]
+            assert at == _tail_residuals(q, coeffs, p + [t], 0)
+
+
+@pytest.mark.parametrize("q,d", [(11, 4), (13, 4), (7, 4), (13, 2), (101, 2)])
+def test_candidates_pass_the_next_coefficient_and_the_slice_restart(q, d):
+    # Counted from _candidates: every candidate off the slice satisfies R and
+    # S; every candidate on it has C2 = C3 = 0 or passes the recurrence
+    # restarted at g_1 = sqrt(C2); and the slice passes far fewer than its
+    # (cube roots of F0) * q^(d-1) rows on.
+    rng = random.Random(q * 7 + d)
+    f, form = _plant(q, d, rng, leading_g=0)
+    coeffs = [int(c) for c in form.coeffs]
+    table, inv = _kernels.sqrt_table(q), _kernels._inverse_table(q)
+    idx = _kernels._candidates(q, np.asarray(coeffs, dtype=np.int64), d, table, inv)
+    roots = [x for x in range(q) if pow(x, 3, q) == coeffs[0]]
+    on_slice = np.isin(idx % q, roots)
+    assert _index(q, f) in set(idx[on_slice].tolist())
+    assert (~on_slice).sum() > 0
+    for i in idx.tolist():
+        fi = [i // q**j % q for j in range(d + 1)]
+        if fi[0] in roots:
+            C = _residual_coeffs(q, coeffs, fi)
+            assert C[:2] == [0, 0]
+            assert C[2:4] == [0, 0] or _tail_residuals(q, coeffs, fi, 1) == [0, 0]
+        else:
+            assert _tail_residuals(q, coeffs, fi, 0) == [0, 0]
+    assert 4 * on_slice.sum() <= len(roots) * q ** (d - 1)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -153,10 +218,37 @@ def test_identically_vanishing_residual_matches_reference(q, d, coeffs):
     # On some prefixes with a nonzero square C0 the constraint R(t) is the zero
     # polynomial, so every value of the last coefficient goes to the full test.
     table, inv = _kernels.sqrt_table(q), _kernels._inverse_table(q)
-    prefix, a, b, c = _kernels._prefix_residuals(q, np.asarray(coeffs, dtype=np.int64), d, table, inv)
+    prefix, (a, b, c), _ = _kernels._prefix_residuals(q, np.asarray(coeffs, dtype=np.int64), d, table, inv)
     vanishing = (a == 0) & (b == 0) & (c == 0)
     assert vanishing.any()
     assert _kernels.decompose_scan(q, coeffs, d) == _reference(q, coeffs, d)
+
+
+@pytest.mark.parametrize(
+    "q,d,coeffs",
+    [
+        (7, 2, [4, 3, 1, 4, 5, 0, 3]),
+        (7, 4, [4, 1, 3, 0, 5, 3, 2, 4, 3, 0, 2, 4, 6]),
+    ],
+)
+def test_identically_vanishing_next_residual_matches_reference(q, d, coeffs):
+    # On some prefixes R(t) and S(t) are both the zero polynomial, so every
+    # value of the last coefficient goes to the full test.
+    table, inv = _kernels.sqrt_table(q), _kernels._inverse_table(q)
+    prefix, r, s = _kernels._prefix_residuals(q, np.asarray(coeffs, dtype=np.int64), d, table, inv)
+    vanishing = np.nonzero(np.all([x == 0 for x in r + s], axis=0))[0]
+    assert vanishing.size
+    p = [int(prefix[vanishing[0]]) // q**i % q for i in range(d)]
+    assert all(_tail_residuals(q, coeffs, p + [t], 0) == [0, 0] for t in range(q))
+    idx = set(_kernels._candidates(q, np.asarray(coeffs, dtype=np.int64), d, table, inv).tolist())
+    assert all(_index(q, p + [t]) in idx for t in range(q))
+    assert _kernels.decompose_scan(q, coeffs, d) == _reference(q, coeffs, d)
+
+
+def test_scan_rejects_fields_beyond_its_int32_columns():
+    # (3 * 4 / 2 + 2) * 16411^2 > 2^31; rejected before any column is built.
+    with pytest.raises(ValueError, match="int32"):
+        _kernels.decompose_scan(16411, [1] + [0] * 11 + [1], 4)
 
 
 @pytest.mark.parametrize("q,d", [(11, 4), (13, 4), (101, 2)])

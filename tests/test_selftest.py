@@ -3,12 +3,13 @@
 The planted pairs are the first plant of ``criterion_locus`` at seed 1 (one
 orbit) and its first plant with extra orbits (two of them).  The verdict
 helpers are pure, so faults are injected into the orbit lists they judge.
-The last test checks that ``run_all`` runs the trial count it is given.
+The last tests check that ``run_all`` runs the trial count it is given and
+that criterion 4 draws only the models it is asked for.
 """
 
 import pytest
 
-from cubesquare import locusz, selftest
+from cubesquare import fibration, locusz, selftest
 from cubesquare.binform import BinForm
 from cubesquare.fields import PrimeField
 
@@ -89,11 +90,32 @@ def test_scan_that_misses_the_planted_orbit_fails(plants):
     assert not all(checks.values())
 
 
-@pytest.mark.parametrize("trials, roundtrips, planted", [(5, 5, 5), (0, 0, 0), (None, 1000, 100)])
-def test_run_all_runs_the_trials_it_is_given(monkeypatch, trials, roundtrips, planted):
+@pytest.mark.parametrize(
+    "trials, roundtrips, planted, models",
+    [(5, 5, 5, (5, 5)), (0, 0, 0, (0, 0)), (30, 30, 30, (30, 20)), (None, 1000, 100, (50, 20))],
+)
+def test_run_all_runs_the_trials_it_is_given(monkeypatch, trials, roundtrips, planted, models):
     seen = {}
     for name in [n for n in dir(selftest) if n.startswith("criterion_")]:
         monkeypatch.setattr(selftest, name, lambda name=name, **kw: seen.setdefault(name, kw))
     selftest.run_all(trials=trials)
     assert seen["criterion_recillas"]["trials"] == roundtrips
     assert seen["criterion_locus"]["plants"] == planted
+    fib = seen["criterion_fibration"]
+    assert (fib["nodal"], fib["planted"]) == models
+
+
+def test_small_fibration_suite_draws_fewer_models(monkeypatch):
+    drawn = {"nodal": 0, "planted": 0}
+    for kind in drawn:
+        real = getattr(fibration, f"random_{kind}_model")
+
+        def counted(*args, real=real, kind=kind):
+            drawn[kind] += 1
+            return real(*args)
+
+        monkeypatch.setattr(fibration, f"random_{kind}_model", counted)
+    res = selftest.criterion_fibration(seed=7, nodal=3, planted=2)
+    assert drawn == {"nodal": 3, "planted": 2}
+    assert res["passed"]
+    assert res["details"]["checks"] == {"branch_locus_3": True, "halving_2": True, "delta12_divisible_2": True}
