@@ -241,7 +241,9 @@ def _prefix_residuals(q: int, F: np.ndarray, d: int, table, inv):
     else:
         rc = sc = np.zeros_like(r0)
         if d == 4:
-            sc = _mod(-(3 * c[0] + _mod(9 * _mod(c[0] * c[0], q) ** 2, q) * inv[_mod(4 * C[0], q)]), q)
+            f0sq = _mod(c[0] * c[0], q)
+            quartic = _mod(_mod(f0sq * f0sq, q) * inv[_mod(4 * C[0], q)], q)
+            sc = _mod(-3 * c[0] - 9 * quartic, q)
     return prefix, (r0, _mod(r1 - r0 - rc, q), rc), (s0, _mod(s1 - s0 - sc, q), sc)
 
 

@@ -147,20 +147,28 @@ def _tail_residuals(q, F, f, h):
     ]
 
 
-@pytest.mark.parametrize("q,d", [(7, 4), (11, 2)])
-def test_prefix_pass_keeps_the_square_leading_residuals(q, d):
+def test_prefix_pass_keeps_the_square_leading_residuals():
+    q, d = 7, 4
     rng = random.Random(6)
     _, form = _random_target(q, d, rng)
-    coeffs = [int(c) for c in form.coeffs]
-    F = np.asarray(coeffs, dtype=np.int64)
+    F = np.asarray([int(c) for c in form.coeffs], dtype=np.int64)
     table, inv = _kernels.sqrt_table(q), _kernels._inverse_table(q)
     prefix, r, s = _kernels._prefix_residuals(q, F, d, table, inv)
     c0 = [(int(F[0]) - (p % q) ** 3) % q for p in range(q**d)]
     assert sorted(prefix.tolist()) == [p for p in range(q**d) if c0[p] and table[c0[p]] >= 0]
     assert all(x.shape == prefix.shape for x in r + s)
-    # R(t) and S(t), interpolated (and for d = 4 with the closed-form t^2
+
+
+@pytest.mark.parametrize("q,d", [(7, 4), (11, 4), (11, 2), (101, 2)])
+def test_prefix_pass_residuals_match_the_plain_recurrence(q, d):
+    # R(t) and S(t), interpolated (for d = 4 with the closed-form t^2
     # coefficient of S), agree with the plain recurrence at every t.
-    for row in rng.sample(range(prefix.size), min(60, prefix.size)):
+    rng = random.Random(q + d)
+    _, form = _random_target(q, d, rng)
+    coeffs = [int(c) for c in form.coeffs]
+    table, inv = _kernels.sqrt_table(q), _kernels._inverse_table(q)
+    prefix, r, s = _kernels._prefix_residuals(q, np.asarray(coeffs, dtype=np.int64), d, table, inv)
+    for row in rng.sample(range(prefix.size), min(40, prefix.size)):
         p = [int(prefix[row]) // q**i % q for i in range(d)]
         for t in range(q):
             at = [(int(x[0][row]) + int(x[1][row]) * t + int(x[2][row]) * t * t) % q for x in (r, s)]

@@ -90,19 +90,25 @@ def test_scan_that_misses_the_planted_orbit_fails(plants):
     assert not all(checks.values())
 
 
-@pytest.mark.parametrize(
-    "trials, roundtrips, planted, models",
-    [(5, 5, 5, (5, 5)), (0, 0, 0, (0, 0)), (30, 30, 30, (30, 20)), (None, 1000, 100, (50, 20))],
-)
-def test_run_all_runs_the_trials_it_is_given(monkeypatch, trials, roundtrips, planted, models):
+def _run_all_arguments(monkeypatch, trials):
     seen = {}
     for name in [n for n in dir(selftest) if n.startswith("criterion_")]:
         monkeypatch.setattr(selftest, name, lambda name=name, **kw: seen.setdefault(name, kw))
     selftest.run_all(trials=trials)
+    return seen
+
+
+@pytest.mark.parametrize("trials, roundtrips, planted", [(5, 5, 5), (0, 0, 0), (None, 1000, 100)])
+def test_run_all_runs_the_trials_it_is_given(monkeypatch, trials, roundtrips, planted):
+    seen = _run_all_arguments(monkeypatch, trials)
     assert seen["criterion_recillas"]["trials"] == roundtrips
     assert seen["criterion_locus"]["plants"] == planted
-    fib = seen["criterion_fibration"]
-    assert (fib["nodal"], fib["planted"]) == models
+
+
+@pytest.mark.parametrize("trials, nodal, planted", [(5, 5, 5), (0, 0, 0), (30, 30, 20), (None, 50, 20)])
+def test_run_all_caps_the_fibration_models(monkeypatch, trials, nodal, planted):
+    seen = _run_all_arguments(monkeypatch, trials)
+    assert seen["criterion_fibration"] == {"seed": 1, "nodal": nodal, "planted": planted}
 
 
 def test_small_fibration_suite_draws_fewer_models(monkeypatch):
