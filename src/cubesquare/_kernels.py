@@ -39,24 +39,21 @@ roots of R, or all q values of t when R vanishes identically, and of those
 only the values where S vanishes pass on.
 
 The degenerate slice C0 = 0 (f0^3 = F0, at most three values of f0) is
-solved apart.  A square cannot start at an odd index, so C1 = F1 - 3 f0^2 f1
-must vanish too: with f0 != 0 that fixes f1, and with f0 = 0 (so F0 = 0)
-the slice survives only when F1 = 0, with f1 free.  f2..fd stay free, which
-leaves (cube roots of F0) * q^(d-1) rows, or q^d when F0 = F1 = 0 (y^2
-divides F, which is then not squarefree).  On these rows the recurrence
-restarts at C2 with g_1 = sqrt(C2), fixes g_2..g_gdeg from C3..C_k, and
-the residuals of coefficients k + 1 and k + 2 must vanish.  A nonzero
-non-square C2 passes nothing on, and C2 = 0 passes the row on when C3 = 0
-as well.  Here t enters earlier: g_{d-1} is affine, so g_{d-1}^2 makes
-g_{2d-3} quadratic and the residuals are cubic in t for d = 4; for d = 2,
-C2 itself involves t.  The slice is small, so its rows are tested at every
-value of t instead of being interpolated.
+not interpolated.  A square cannot start at an odd index, so C1 = F1 -
+3 f0^2 f1 must vanish too: with f0 != 0 that fixes f1, and with f0 = 0 (so
+F0 = 0) the slice survives only when F1 = 0, with f1 free.  f2..fd stay
+free, which leaves (cube roots of F0) * q^(d-1) rows, or q^d when F0 = F1 =
+0 (y^2 divides F, which is then not squarefree).  These rows go to the full
+test as they are.
 
-The elimination only prunes.  Every surviving candidate goes through the
-full perfect-square test on all 3d + 1 coefficients of C, the test the
-plain-Python ``_scan_python_reference`` applies to every candidate; the
-tests compare the two.  The vectorised columns are int32; every
-intermediate stays below (3d/2 + 2) q^2, which ``decompose_scan`` bounds.
+The elimination only prunes.  Every candidate goes through the full test,
+``_verify``, which decides a hit exactly as the plain-Python
+``_scan_python_reference`` does on every candidate; the tests compare the
+two.  It runs the same recurrence from the first nonzero coefficient C_2h
+of C, so coefficients up to gdeg + h hold by construction and only the
+residuals of gdeg + h + 1..3d are left to check.  The vectorised columns
+are int32; every intermediate stays below (3d/2 + 2) q^2, which
+``decompose_scan`` bounds.
 """
 
 from __future__ import annotations
@@ -247,18 +244,15 @@ def _prefix_residuals(q: int, F: np.ndarray, d: int, table, inv):
     return prefix, (r0, _mod(r1 - r0 - rc, q), rc), (s0, _mod(s1 - s0 - sc, q), sc)
 
 
-def _slice_candidates(q: int, F: np.ndarray, d: int, table, inv) -> np.ndarray:
-    """Indices of the candidates on the slice C0 = F0 - f0^3 = 0.
+def _slice_candidates(q: int, F: np.ndarray, d: int, inv) -> np.ndarray:
+    """Indices of the rows on the slice C0 = F0 - f0^3 = 0 with C1 = 0.
 
     A square cannot start at an odd index, so C1 = F1 - 3 f0^2 f1 must vanish
     as well.  With f0 != 0 that fixes f1; with f0 = 0 (so F0 = 0) it asks
-    F1 = 0 and then leaves f1 free.  f2..fd stay free, and each of these rows
-    is tested on coefficients 2..k + 2 of C only.  Where C2 is a nonzero
-    square the recurrence restarts there, at g_1 = sqrt(C2), and the residuals
-    of coefficients k + 1 and k + 2 must vanish.  A nonzero non-square C2
-    passes nothing on.  Where C2 = 0 the row passes on when C3 = 0 too.
+    F1 = 0 and then leaves f1 free.  f2..fd stay free, and every row goes to
+    the full test.
     """
-    parts = []
+    parts = [np.zeros(0, dtype=np.int64)]
     for f0 in range(q):
         if (f0**3 - int(F[0])) % q:
             continue
@@ -267,20 +261,7 @@ def _slice_candidates(q: int, F: np.ndarray, d: int, table, inv) -> np.ndarray:
             parts.append(f0 + q * f1 + q * q * np.arange(q ** (d - 1), dtype=np.int64))
         elif F[1] == 0:
             parts.append(q * np.arange(q**d, dtype=np.int64))
-    if not parts:
-        return np.zeros(0, dtype=np.int64)
-    idx = np.concatenate(parts)
-    k = 3 * d // 2 + 1
-    C = _residual_columns(q, F, _digits(idx, q, d + 1), k + 3)
-    g1 = table[C[2]]
-    inv2g1 = inv[_mod(2 * g1, q)]
-    gam = [None, g1]
-    for i in range(2, k):
-        gam.append(_mod(_recurrence_residual(q, C[i + 1], gam, i + 1, 1) * inv2g1, q))
-    fits = (C[2] != 0) & (g1 >= 0)
-    for m in (k + 1, k + 2):
-        fits &= _recurrence_residual(q, C[m], gam, m, 1) == 0
-    return idx[fits | ((C[2] == 0) & (C[3] == 0))]
+    return np.concatenate(parts)
 
 
 def _candidates(q: int, F: np.ndarray, d: int, table, inv) -> np.ndarray:
@@ -293,7 +274,7 @@ def _candidates(q: int, F: np.ndarray, d: int, table, inv) -> np.ndarray:
         keep = _mod(sa[rows] + t * _mod(sb[rows] + t * sc[rows], q), q) == 0
         return prefix[rows[keep]] + q**d * t[keep].astype(np.int64)
 
-    parts = [_slice_candidates(q, F, d, table, inv)]
+    parts = [_slice_candidates(q, F, d, inv)]
     lin = np.nonzero((c == 0) & (b != 0))[0]
     parts.append(passing(lin, _mod(-a[lin] * inv[b[lin]], q)))
     quad = np.nonzero(c)[0]
@@ -309,55 +290,37 @@ def _candidates(q: int, F: np.ndarray, d: int, table, inv) -> np.ndarray:
 
 
 def _verify(q: int, F: np.ndarray, d: int, idx: np.ndarray, table, inv):
-    """Full perfect-square test of F - f^3 for the candidates with these indices."""
-    nf, nF, gdeg = d + 1, 3 * d + 1, 3 * d // 2
-    c = _digits(idx, q, nf)
-    C = np.stack(_residual_columns(q, F, c, nF), axis=1)
-    nz = C != 0
-    first = np.where(nz.any(axis=1), nz.argmax(axis=1), nF)
-    fmat = np.stack(c, axis=1)
-    hits_f, hits_g = [], []
+    """The (f, g) with g^2 = F - f^3 among the candidates with these indices.
 
-    rows0 = np.nonzero(first == nF)[0]
-    if rows0.size:
-        hits_f.append(fmat[rows0])
-        hits_g.append(np.zeros((rows0.size, gdeg + 1), dtype=np.int64))
-
-    for j in range(0, nF, 2):
-        rows = np.nonzero(first == j)[0]
+    Where the first nonzero coefficient of C = F - f^3 is C_2h, g starts at
+    g_h = sqrt(C_2h) and the recurrence fixes g_(h+1)..g_gdeg from
+    C_(2h+1)..C_(gdeg+h).  Then g^2 and C agree below 2h, where both vanish,
+    and from 2h to gdeg + h by construction, so only the residuals of
+    coefficients gdeg + h + 1..3d are tested.  A first nonzero coefficient
+    at an odd index, or one that is not a square, fails; C = 0 gives g = 0.
+    """
+    n, gdeg = 3 * d + 1, 3 * d // 2
+    c = _digits(idx, q, d + 1)
+    C = _residual_columns(q, F, c, n)
+    nz = np.stack(C) != 0
+    first = np.where(nz.any(axis=0), nz.argmax(axis=0), n)
+    f = np.stack(c, axis=1)
+    out = [(tuple(x), (0,) * (gdeg + 1)) for x in f[first == n].tolist()]
+    for h in range(gdeg + 1):
+        rows = np.nonzero(first == 2 * h)[0]
+        rows = rows[table[C[2 * h][rows]] >= 0]
         if not rows.size:
             continue
-        h = j // 2
-        if h > gdeg:
-            continue
-        Cr = C[rows]
-        r0 = table[Cr[:, j]]
-        keep = r0 >= 0
-        rows, Cr, r0 = rows[keep], Cr[keep], r0[keep]
-        if not rows.size:
-            continue
-        gam = np.zeros((rows.size, gdeg + 1), dtype=np.int64)
-        gam[:, h] = r0
-        inv2r = inv[2 * r0 % q]
+        Cr = [x[rows] for x in C]
+        gam = [np.zeros(rows.size, dtype=np.int32)] * h + [table[Cr[2 * h]]]
+        inv2g = inv[_mod(2 * gam[h], q)]
         for i in range(h + 1, gdeg + 1):
-            m = i + h
-            acc = Cr[:, m].copy()
-            for u in range(h + 1, i):
-                acc -= gam[:, u] * gam[:, m - u]
-            gam[:, i] = acc % q * inv2r % q
+            gam.append(_mod(_recurrence_residual(q, Cr[i + h], gam, i + h, h) * inv2g, q))
         ok = np.ones(rows.size, dtype=bool)
-        for m in range(nF):
-            conv = np.zeros(rows.size, dtype=np.int64)
-            for u in range(max(0, m - gdeg), min(gdeg, m) + 1):
-                conv += gam[:, u] * gam[:, m - u]
-            ok &= conv % q == Cr[:, m]
-        if ok.any():
-            hits_f.append(fmat[rows[ok]])
-            hits_g.append(gam[ok])
-    out = []
-    for fs, gs in zip(hits_f, hits_g):
-        for r in range(fs.shape[0]):
-            out.append((tuple(int(x) for x in fs[r]), tuple(int(x) for x in gs[r])))
+        for m in range(gdeg + h + 1, n):
+            ok &= _recurrence_residual(q, Cr[m], gam, m, h) == 0
+        g = np.stack(gam, axis=1)[ok]
+        out.extend(zip(map(tuple, f[rows[ok]].tolist()), map(tuple, g.tolist())))
     return out
 
 

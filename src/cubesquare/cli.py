@@ -281,7 +281,7 @@ def cmd_z_search(args):
         raise SchemaError(f"--jobs: need 1..{MAX_JOBS}, got {args.jobs}")
     doc = _load_json(args.infile, "z-search --F")
     form = jsonio.form_from_json(doc, "F")
-    if args.q and args.q != getattr(form.field, "p", None):
+    if args.q is not None and args.q != getattr(form.field, "p", None):
         raise SchemaError(f"--q {args.q} disagrees with the form's field {form.field!r}")
     orbits = locusz.decompose_fq(form, jobs=args.jobs)
     payload = {

@@ -59,18 +59,11 @@ class WModel:
 def is_nodal_twelve(w: WModel) -> bool:
     """True iff the discriminant form is squarefree (twelve nodal fibers).
 
-    Logical consequence checked on the true branch: a and b cannot share a
-    projective root, since a common root would be a multiple root of the
-    discriminant; hence every singular fiber is multiplicative of type I1.
+    Then a and b share no projective root, since a common root would be a
+    multiple root of the discriminant; hence every singular fiber is
+    multiplicative of type I1.  The tests check this on random models.
     """
-    ok = binform.is_squarefree(w.delta)
-    if ok:
-        if not w.a.is_zero and not w.b.is_zero:
-            if binform.gcd(w.a, w.b).degree != 0:
-                raise FibrationError(
-                    "squarefree discriminant with a common root of a and b"
-                )
-    return ok
+    return binform.is_squarefree(w.delta)
 
 
 def kodaira_label(w: WModel) -> str:

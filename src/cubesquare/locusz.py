@@ -156,8 +156,8 @@ def decompose_fq(form: BinForm, jobs: int = 1) -> list[DecompositionOrbit]:
     f0..f_{d-1} whose C0 = F0 - f0^3 is a nonzero square (about half of the
     q^d), solves for the last coefficient on them and keeps only the values
     that also satisfy the next coefficient of the square-root recurrence.
-    On the slice C0 = 0 the recurrence restarts at C2 under the same two
-    constraints (see ``_kernels``).  Every survivor gets the full
+    On the slice C0 = 0 only C1 = 0 is solved, and its rows pass on
+    unfiltered (see ``_kernels``).  Every survivor gets the full
     perfect-square test.  With ``jobs`` > 1 the candidate range is split
     over that many worker processes; the orbits do not depend on ``jobs``.  For sextics the
     per-field orbit count is empirical data: a lower bound for the geometric

@@ -157,6 +157,10 @@ def test_z_search_validates_q_flag(tmp_path, capsys):
     path = _write(tmp_path, "F.json", F_doc)
     code, out = run_cli(capsys, "z-search", "--F", path, "--q", "13")
     assert code == 2
+    # --q 0 is a mismatch like any other, not a missing flag.
+    code, out = run_cli(capsys, "z-search", "--F", path, "--q", "0")
+    assert code == 2
+    assert json.loads(out)["status"] == "error"
 
 
 def test_z_search_malformed_field_exits_2(tmp_path, capsys):

@@ -39,6 +39,30 @@ def test_is_nodal_twelve_counterexamples():
     assert not fibration.is_nodal_twelve(w2)
 
 
+@pytest.mark.parametrize("field", [PrimeField(7), F1009, QQ], ids=["F7", "F1009", "Q"])
+def test_squarefree_discriminant_rules_out_a_common_root(field):
+    # A root shared by a and b is a double root of 4 a^3 + 27 b^2, so a model
+    # with a planted common root is not nodal and a nodal model has
+    # gcd(a, b) = 1; is_nodal_twelve relies on this instead of checking it.
+    rng = random.Random(12)
+
+    def form(degree):
+        return BinForm(field, degree, [rng.randrange(-9, 10) for _ in range(degree + 1)])
+
+    planted = nodal = 0
+    while planted < 40 or nodal < 40:
+        line = form(1)
+        if line.is_zero:
+            continue
+        w = WModel(line * form(3), line * form(5))
+        assert not w.nodal
+        planted += 1
+        w = WModel(form(4), form(6))
+        if w.nodal:
+            assert binform.gcd(w.a, w.b).degree == 0
+            nodal += 1
+
+
 def test_model_rejects_identically_zero_discriminant():
     with pytest.raises(FibrationError):
         WModel(BinForm.zero(QQ, 4), BinForm.zero(QQ, 6))

@@ -178,9 +178,8 @@ def test_prefix_pass_residuals_match_the_plain_recurrence(q, d):
 @pytest.mark.parametrize("q,d", [(11, 4), (13, 4), (7, 4), (13, 2), (101, 2)])
 def test_candidates_pass_the_next_coefficient_and_the_slice_restart(q, d):
     # Counted from _candidates: every candidate off the slice satisfies R and
-    # S; every candidate on it has C2 = C3 = 0 or passes the recurrence
-    # restarted at g_1 = sqrt(C2); and the slice passes far fewer than its
-    # (cube roots of F0) * q^(d-1) rows on.
+    # S, and the slice candidates are exactly its (cube roots of F0) *
+    # q^(d-1) rows with C0 = C1 = 0, passed on unfiltered.
     rng = random.Random(q * 7 + d)
     f, form = _plant(q, d, rng, leading_g=0)
     coeffs = [int(c) for c in form.coeffs]
@@ -190,15 +189,46 @@ def test_candidates_pass_the_next_coefficient_and_the_slice_restart(q, d):
     on_slice = np.isin(idx % q, roots)
     assert _index(q, f) in set(idx[on_slice].tolist())
     assert (~on_slice).sum() > 0
-    for i in idx.tolist():
+    for i in idx[~on_slice].tolist():
         fi = [i // q**j % q for j in range(d + 1)]
-        if fi[0] in roots:
-            C = _residual_coeffs(q, coeffs, fi)
-            assert C[:2] == [0, 0]
-            assert C[2:4] == [0, 0] or _tail_residuals(q, coeffs, fi, 1) == [0, 0]
-        else:
-            assert _tail_residuals(q, coeffs, fi, 0) == [0, 0]
-    assert 4 * on_slice.sum() <= len(roots) * q ** (d - 1)
+        assert _tail_residuals(q, coeffs, fi, 0) == [0, 0]
+    # C0 and C1 involve f0 and f1 only.
+    heads = [
+        (a, b)
+        for a in roots
+        for b in range(q)
+        if _residual_coeffs(q, coeffs, [a, b] + [0] * (d - 1))[:2] == [0, 0]
+    ]
+    assert len(heads) == len(roots)
+    rows = [a + q * b + q * q * r for a, b in heads for r in range(q ** (d - 1))]
+    assert sorted(idx[on_slice].tolist()) == sorted(rows)
+
+
+def _full_space_targets(q, d, rng):
+    """A random target, x^(3d) + y^(3d), a y^2-divisible target and a cube."""
+    n = 3 * d + 1
+    f = [rng.randrange(q) for _ in range(d + 1)]
+    return [
+        [rng.randrange(q) for _ in range(n)],
+        [1] + [0] * (n - 2) + [1],
+        [0, 0] + [rng.randrange(q) for _ in range(n - 2)],
+        [-c % q for c in _residual_coeffs(q, [0] * n, f)],
+    ]
+
+
+@pytest.mark.parametrize("q,d", [(5, 2), (7, 2), (5, 4)])
+def test_full_test_on_every_index_matches_reference(q, d):
+    # _verify on the whole space, not only on the pruned candidates: rows of
+    # C that start at an odd index, at C_2h with h >= 1, or vanish (F = f^3).
+    rng = random.Random(q * 31 + d)
+    table, inv = _kernels.sqrt_table(q), _kernels._inverse_table(q)
+    idx = np.arange(q ** (d + 1), dtype=np.int64)
+    leads = set()
+    for coeffs in _full_space_targets(q, d, rng):
+        hits = _kernels._verify(q, np.asarray(coeffs, dtype=np.int64), d, idx, table, inv)
+        assert sorted(hits) == _reference(q, coeffs, d)
+        leads |= {next((h for h, x in enumerate(g) if x), None) for _, g in hits}
+    assert None in leads and max(h for h in leads if h is not None) >= 1
 
 
 @pytest.mark.parametrize("q", [2, 3])
