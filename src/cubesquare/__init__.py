@@ -9,3 +9,18 @@ lattice (``picard``), the trigonal construction on monodromy tuples
 """
 
 __version__ = "0.1.0"
+
+
+# Submodules that load only when a command uses them (``cli`` imports the rest).
+_LAZY = ("_kernels", "e8", "locusz", "picard", "recillas", "selftest")
+
+
+def __getattr__(name):
+    # A lazy submodule (numpy comes with ``_kernels``) loads on first use, so
+    # that a command pays only for what it runs; ``cubesquare.picard`` and the
+    # like still resolve after ``import cubesquare``.
+    if name in _LAZY:
+        import importlib
+
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

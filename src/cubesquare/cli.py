@@ -8,7 +8,9 @@ other command one.  ``main`` alone wraps each outcome with
 ``jsonio.make_report``, writes it to stdout or --out and sets the exit code:
 0 ok, 1 a failed check, 2 an input error (``INPUT_ERRORS``), among them a
 malformed command line, an input file that cannot be read or decoded and an
---out that cannot be written.
+--out that cannot be written, and 3 an internal error: any other exception,
+which is a bug in the program, reported with its type and message (the
+traceback goes to stderr).
 
 Reports are pure functions of (argv, input documents): no clocks, no
 environment, stable key order.  The optional --jobs flag shards the
@@ -17,6 +19,16 @@ candidate range; the orbits are grouped from the merged hits, so the output
 is independent of the job count.  Each shard repeats the scan's whole prefix
 pass (over the prefixes whose C0 = F0 - f0^3 is a nonzero square, with the
 C0 = 0 slice solved apart), so jobs buy little; --jobs takes 1..MAX_JOBS.
+
+Set-up loads only what a command uses.  Importing this module loads the
+fibration stack (``fields``, ``poly``, ``binform``, ``families``,
+``fibration``, ``jsonio``); every other command imports its own module
+(``e8``, ``picard``, ``recillas``, ``locusz``, ``selftest``) when it runs.
+numpy is imported by z-search (the scan kernel ``_kernels``, which
+``locusz.decompose_fq`` imports on first use, as selftest does) and by the
+F_p fibration commands (the root scan of ``poly.roots_fp``); the process
+pool only by z-search --jobs > 1.  The other commands, fibration-info and
+fibration-halving over Q among them, load neither.
 """
 
 from __future__ import annotations
@@ -25,14 +37,13 @@ import argparse
 import json
 import sys
 
-from . import binform, e8, families, fibration, jsonio, locusz, picard, recillas, selftest
+from . import binform, families, fibration, jsonio
 from . import poly as upoly
+from .errors import LatticeError, MonodromyError
 from .fibration import FibrationError
 from .fields import FieldError, PrimeField
 from .jsonio import SchemaError
-from .picard import LatticeError
 from .poly import PolyError
-from .recillas import MonodromyError
 
 INPUT_ERRORS = (
     SchemaError,
@@ -46,6 +57,7 @@ INPUT_ERRORS = (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 # Upper bound of --jobs, the number of worker processes z-search starts.  A
 # fixed constant, not the host's CPU count, so that whether a command line is
@@ -90,6 +102,8 @@ def _emit(report: dict, out_path: str | None) -> None:
 
 
 def cmd_selftest(args):
+    from . import selftest
+
     _check_trials(args.trials)
     results = selftest.run_all(trials=args.trials, seed=args.seed)
     for res in results:
@@ -106,11 +120,15 @@ def cmd_selftest(args):
 
 
 def cmd_e8_report(args):
+    from . import e8
+
     payload = e8.census_report()
     yield payload, [payload], None
 
 
 def cmd_picard_solve(args):
+    from . import picard
+
     doc = jsonio._object(_load_json(args.infile, "picard-solve --in"), "input")
     gens = [
         jsonio.divclass_from_json(g, f"generators[{i}]")
@@ -134,6 +152,8 @@ def cmd_picard_solve(args):
 
 
 def cmd_picard_report(args):
+    from . import picard
+
     solves = picard.solve_halving_classes()
     recon = picard.standard_zero_base_class()
     sections = picard.enumerate_minimal_sections()
@@ -197,6 +217,8 @@ def cmd_fibration_halving(args):
 
 
 def cmd_recillas_forward(args):
+    from . import recillas
+
     doc = _load_json(args.infile, "recillas-forward --in")
     t = jsonio.tuple_from_json(doc)
     triple, sextic = recillas.forward(t)
@@ -213,6 +235,8 @@ def cmd_recillas_forward(args):
 
 
 def cmd_recillas_reverse(args):
+    from . import recillas
+
     triple_doc = _load_json(args.triple, "recillas-reverse --triple")
     lift_doc = _load_json(args.lift, "recillas-reverse --lift")
     triple = jsonio.tuple_from_json(triple_doc, "triple")
@@ -227,6 +251,8 @@ def cmd_recillas_reverse(args):
 
 def cmd_recillas_selftest(args):
     import random
+
+    from . import recillas
 
     _check_trials(args.trials)
     rng = random.Random(args.seed)
@@ -257,6 +283,8 @@ def cmd_recillas_selftest(args):
 
 
 def cmd_z_verify(args):
+    from . import locusz
+
     doc = _load_json(args.infile, "z-verify --cert")
     form = jsonio.form_from_json(jsonio._need(doc, "F", "cert"), "cert.F")
     point = jsonio.bpoint_from_json(jsonio._need(doc, "point", "cert"), "cert.point")
@@ -265,6 +293,8 @@ def cmd_z_verify(args):
 
 
 def cmd_z_plant(args):
+    from . import locusz
+
     f = jsonio.form_from_json(_load_json(args.f, "z-plant --f"), "f")
     g = jsonio.form_from_json(_load_json(args.g, "z-plant --g"), "g")
     cert = locusz.plant(f, g)
@@ -277,6 +307,8 @@ def cmd_z_plant(args):
 
 
 def cmd_z_search(args):
+    from . import locusz
+
     if not 1 <= args.jobs <= MAX_JOBS:
         raise SchemaError(f"--jobs: need 1..{MAX_JOBS}, got {args.jobs}")
     doc = _load_json(args.infile, "z-search --F")
@@ -300,6 +332,8 @@ def cmd_z_search(args):
 
 
 def cmd_z_constants(args):
+    from . import locusz
+
     payload = locusz.constants_registry()
     yield payload, [payload], None
 
@@ -410,15 +444,22 @@ def main(argv=None) -> int:
                 code, status, error = EXIT_FAIL, "error", {"code": EXIT_FAIL, "message": failure}
             _emit(jsonio.make_report(command, payload, parts, status, error), out)
     except INPUT_ERRORS as exc:
-        if command is None and argv and argv[0] in DISPATCH:  # the command line did not parse
-            command = argv[0]
-        error = {"code": EXIT_INPUT, "message": str(exc)}
-        report = jsonio.make_report(command, None, [str(exc)], "error", error)
-        try:
-            _emit(report, out)
-        except SchemaError:  # --out cannot be written: the report goes to stdout
-            _emit(report, None)
-        return EXIT_INPUT
+        code, message = EXIT_INPUT, str(exc)
+    except Exception as exc:  # a bug: neither bad input nor a failed check
+        import traceback
+
+        traceback.print_exc()
+        code, message = EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {exc}"
+    else:
+        return code
+    if command is None and argv and argv[0] in DISPATCH:  # the command line did not parse
+        command = argv[0]
+    error = {"code": code, "message": message}
+    report = jsonio.make_report(command, None, [message], "error", error)
+    try:
+        _emit(report, out)
+    except SchemaError:  # --out cannot be written: the report goes to stdout
+        _emit(report, None)
     return code
 
 

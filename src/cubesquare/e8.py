@@ -11,8 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-
-import numpy as np
+from operator import mul
 
 
 def is_member_dcoords(d) -> bool:
@@ -164,22 +163,23 @@ def exact_inverse(matrix):
 
 @lru_cache(maxsize=None)
 def _basis_solver():
-    """(adjugate, det) of the basis matrix, for exact coordinate solves."""
+    """(columns of the adjugate, det) of the basis matrix, for exact
+    coordinate solves."""
     inverse, det = exact_inverse(BASIS_DCOORDS)
     adj = [[c * det for c in row] for row in inverse]
     if any(c.denominator != 1 for row in adj for c in row):
         raise ArithmeticError("adjugate not integral")
-    return np.array([[int(c) for c in row] for row in adj], dtype=np.int64), int(det)
+    return tuple(tuple(int(c) for c in col) for col in zip(*adj)), int(det)
 
 
 def basis_coordinates(v: E8Vector) -> tuple[int, ...]:
     """Integer coordinates of v in the fixed lattice basis."""
-    adj, det = _basis_solver()
-    vec = np.array(v.dcoords, dtype=np.int64)
-    num = vec @ adj  # row vector times inverse-matrix-parts: v = c B  =>  c = v B^-1
-    if any(int(x) % det for x in num):
+    columns, det = _basis_solver()
+    # v = c B  =>  c = v adj(B) / det, one column of the adjugate per coordinate.
+    num = [sum(map(mul, v.dcoords, col)) for col in columns]
+    if any(x % det for x in num):
         raise ValueError(f"{v} not in the lattice span")
-    return tuple(int(x) // det for x in num)
+    return tuple(x // det for x in num)
 
 
 def mod2_key(v: E8Vector) -> tuple[int, ...]:

@@ -18,9 +18,7 @@ constants that are out of reach of a desk-scale computation live in
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
-from . import _kernels, binform
+from . import binform
 from .binform import BinForm
 from .families import BPoint
 from .fields import PrimeField, same_field
@@ -175,10 +173,16 @@ def decompose_fq(form: BinForm, jobs: int = 1) -> list[DecompositionOrbit]:
         raise PolyError(f"the degree-{form.degree} scan needs q <= {qmax}, got {q}")
     if not binform.is_squarefree(form):
         raise PolyError(f"degree-{form.degree} form is not squarefree")
+    # Imported here, not at module level: numpy and the process pool are
+    # loaded only by the commands that scan.
+    from . import _kernels
+
     coeffs = [int(c) for c in form.coeffs]
     if jobs == 1:
         canonical = _kernels.decompose_scan(q, coeffs, d)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = [q ** (d + 1) * i // jobs for i in range(jobs + 1)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = pool.map(

@@ -15,17 +15,13 @@ orthogonal octuple of (-1)-classes by the same elimination.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 from math import isqrt, lcm
+from operator import mul
 from types import MappingProxyType
 
-import numpy as np
-
 from . import e8
-
-
-class LatticeError(ValueError):
-    pass
+from .errors import LatticeError
 
 
 class DivClass:
@@ -360,14 +356,16 @@ def halving_class_systems() -> dict:
 @lru_cache(maxsize=None)
 def solve_halving_classes() -> MappingProxyType:
     """Run the three systems once per process; each must have a unique
-    solution in the box.  Every caller shares the read-only result."""
+    solution in the box.  Every caller shares the read-only result.  The
+    systems are constants, so a wrong solution is an internal error
+    (ArithmeticError), not an input error."""
     out = {}
     for name, (gens, cons, expected) in halving_class_systems().items():
         sols = solve_class(gens, cons)
         if len(sols) != 1:
-            raise LatticeError(f"system {name} not unique in the box: {sols}")
+            raise ArithmeticError(f"system {name} not unique in the box: {sols}")
         if sols[0] != expected:
-            raise LatticeError(f"system {name} solved to {sols[0]}, wanted {expected}")
+            raise ArithmeticError(f"system {name} solved to {sols[0]}, wanted {expected}")
         out[name] = sols[0]
     return MappingProxyType(out)
 
@@ -387,20 +385,39 @@ def enumerate_minimal_sections() -> tuple[DivClass, ...]:
     S.E0 = -e0 = 0 forces e0 = 0; the remaining constraints,
     S.K = -3h - sum(e) = -1 and S.S = h^2 - sum(e^2) = -1, are symmetric in
     e1..e8, so the box is searched as sorted 8-multisets and each solution
-    is expanded into its distinct permutations.
+    yields its distinct orderings.  A solution on the box boundary or a
+    count other than 240 is an internal error (ArithmeticError).
     """
     lo, hi = _E_RANGE
     out = []
     for h in range(0, _H_MAX + 1):
         for m in combinations_with_replacement(range(lo, hi + 1), 8):
             if sum(m) == 1 - 3 * h and sum(c * c for c in m) == h * h + 1:
-                out.extend(DivClass(h, (0,) + e) for e in set(permutations(m)))
+                out.extend(DivClass(h, (0,) + e) for e in _distinct_orderings(m))
     for s in out:
         if s.h == _H_MAX or any(c in _E_RANGE for c in s.e[1:]):
-            raise LatticeError(f"solution {s} on the search-box boundary")
+            raise ArithmeticError(f"solution {s} on the search-box boundary")
     if len(out) != 240:
-        raise LatticeError(f"expected 240 minimal sections, found {len(out)}")
+        raise ArithmeticError(f"expected 240 minimal sections, found {len(out)}")
     return tuple(sorted(out, key=lambda s: s.as_vector()))
+
+
+def _distinct_orderings(m):
+    """Each distinct ordering of the sorted tuple m once, in increasing
+    lexicographic order (the next-permutation step, Knuth's Algorithm L)."""
+    a = list(m)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
 
 
 def lattice_height(s: DivClass, t: DivClass) -> int:
@@ -482,7 +499,7 @@ def _match_simple_roots_e8(target_gram):
         return False
 
     if not extend(0):
-        raise LatticeError("no matching simple-root octuple in E8")
+        raise ArithmeticError("no matching simple-root octuple in E8")
     return chosen
 
 
@@ -493,16 +510,17 @@ def section_isometry():
 
     Returns (mapping, basis_pic, basis_e8) where mapping is a dict
     DivClass -> E8Vector.  Any valid isometry is acceptable; this one sends
-    mw_image(S) to its coordinates in a fixed simple-root basis.
+    mw_image(S) to its coordinates in a fixed simple-root basis.  A failed
+    construction is an internal error (ArithmeticError).
     """
     basis_pic = simple_roots_pic()
     gram = _cartan_from(basis_pic, lambda a, b: -dot(a, b))
     basis_e8 = _match_simple_roots_e8(gram)
     inverse, det = e8.exact_inverse(gram)
     if det not in (1, -1):
-        raise LatticeError(f"Gram determinant {det}, expected a unit")
+        raise ArithmeticError(f"Gram determinant {det}, expected a unit")
     if any(c.denominator != 1 for row in inverse for c in row):
-        raise LatticeError("inverse not integral")
+        raise ArithmeticError("inverse not integral")
     gram_inv = [[int(c) for c in row] for row in inverse]
 
     sections = enumerate_minimal_sections()
@@ -520,30 +538,37 @@ def section_isometry():
                 img[k] += c * rv.dcoords[k]
         vec = e8.E8Vector(img)
         if vec not in root_set:
-            raise LatticeError(f"image of {s} is not an E8 root")
+            raise ArithmeticError(f"image of {s} is not an E8 root")
         mapping[s] = vec
     if len(set(mapping.values())) != 240:
-        raise LatticeError("isometry is not injective on the 240 classes")
+        raise ArithmeticError("isometry is not injective on the 240 classes")
     return mapping, tuple(basis_pic), tuple(basis_e8)
 
 
 @lru_cache(maxsize=None)
 def verify_isometry() -> bool:
-    """Check the full 240 x 240 Gram data transports along the isometry.
+    """Check that the isometry is the linear map basis_pic -> basis_e8 and
+    that this map preserves the pairing.
 
-    A constant of the cached isometry, so it runs once per process."""
-    mapping, _, _ = section_isometry()
-    sections = list(mapping)
-    vecs = np.array([mapping[s].dcoords for s in sections], dtype=np.int64)
-    e8_gram = vecs @ vecs.T
-    if (e8_gram % 4).any():
-        raise LatticeError("non-integral E8 pairings")
-    e8_gram //= 4
-    pic = np.array([mw_image(s).as_vector() for s in sections], dtype=np.int64)
-    signs = np.ones(10, dtype=np.int64)
-    signs[1:] = -1
-    pic_gram = -((pic * signs) @ pic.T)
-    return bool((e8_gram == pic_gram).all())
+    The two bases must have the same Cartan matrix; then the linear map is
+    an isometry and the full 240 x 240 Gram data transports along it (the
+    tests check that data too).  Each image is written in basis_e8 through
+    its pairings with that basis, and mw_image(S) must be the same integer
+    combination of basis_pic.  A constant of the cached isometry, so it runs
+    once per process."""
+    mapping, basis_pic, basis_e8 = section_isometry()
+    cartan = _cartan_from(basis_e8, lambda a, b: a.dot(b))
+    if cartan != _cartan_from(basis_pic, lambda a, b: -dot(a, b)):
+        return False
+    inverse, _ = e8.exact_inverse(cartan)  # integral: the Cartan matrix is unimodular
+    inverse = [[int(c) for c in row] for row in inverse]
+    pic_columns = list(zip(*(r.as_vector() for r in basis_pic)))
+    for s, v in mapping.items():
+        pairings = [v.dot(r) for r in basis_e8]
+        coords = [sum(map(mul, row, pairings)) for row in inverse]
+        if tuple(sum(map(mul, coords, col)) for col in pic_columns) != mw_image(s).as_vector():
+            return False
+    return True
 
 
 def negation_involution(s: DivClass) -> DivClass:

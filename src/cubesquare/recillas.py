@@ -19,9 +19,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-
-class MonodromyError(ValueError):
-    pass
+from .errors import MonodromyError
 
 
 class Perm:

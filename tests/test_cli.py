@@ -630,6 +630,37 @@ def test_repeated_picard_reports_rerun_no_isometry_check(capsys, monkeypatch):
     assert counts == [[], [], []]
 
 
+def test_an_internal_error_exits_3_with_one_report(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+        yield  # a handler is a generator of outcomes
+
+    monkeypatch.setitem(DISPATCH, "e8-report", broken)
+    code = main(["e8-report"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 3
+    report = json.loads(captured.out)  # one report, nothing else on stdout
+    assert report["command"] == "e8-report" and report["status"] == "error"
+    assert report["payload"] is None
+    assert report["error"] == {"code": 3, "message": "internal error: RuntimeError: boom"}
+    assert "RuntimeError: boom" in captured.err  # the traceback
+
+
+def test_a_broken_lattice_invariant_exits_3_not_2(capsys, monkeypatch):
+    # A minimal section on the search-box boundary is a bug in the program,
+    # not bad input, so picard-report must not exit 2.
+    from cubesquare import picard
+
+    monkeypatch.setattr(picard, "_E_RANGE", (-3, 1))
+    picard.enumerate_minimal_sections.cache_clear()
+    code, out = run_cli(capsys, "picard-report")
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["code"] == 3
+    assert error["message"].startswith("internal error: ArithmeticError: solution")
+    assert "search-box boundary" in error["message"]
+
+
 def test_picard_solve_rejects_a_box_over_the_enumeration_cap(tmp_path, capsys):
     from cubesquare import picard
 

@@ -132,6 +132,22 @@ def test_basis_is_unimodular():
     assert abs(det) == 256
 
 
+def test_basis_coordinates_match_an_exact_fraction_solve():
+    # v = c B over Fractions through the exact inverse of B, on all 240 roots
+    # and 2160 norm-4 vectors; the integer route must give the same c.
+    from fractions import Fraction
+
+    inverse, _ = e8.exact_inverse(e8.BASIS_DCOORDS)
+    vectors = e8.enumerate_roots() + e8.enumerate_norm4()
+    assert len(vectors) == 2400
+    for v in vectors:
+        exact = [sum(Fraction(x) * row[j] for x, row in zip(v.dcoords, inverse)) for j in range(8)]
+        assert all(c.denominator == 1 for c in exact), v
+        coords = e8.basis_coordinates(v)
+        assert coords == tuple(int(c) for c in exact), v
+        assert [sum(c * b[k] for c, b in zip(coords, e8.BASIS_DCOORDS)) for k in range(8)] == list(v.dcoords)
+
+
 def test_vector_validation():
     with pytest.raises(ValueError):
         E8Vector((1, 0, 0, 0, 0, 0, 0, 0))  # mixed parity

@@ -1,7 +1,8 @@
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, permutations
 
+import numpy as np
 import pytest
 
 from cubesquare import picard
@@ -303,14 +304,53 @@ def test_negation_involution():
     assert len(pairs) == 120
 
 
+def _gram_transports(mapping):
+    """The full check: <mapping S, mapping T> = -(mw_image(S) . mw_image(T))
+    for all 240 x 240 pairs."""
+    sections = list(mapping)
+    vecs = np.array([mapping[s].dcoords for s in sections], dtype=np.int64)
+    e8_gram = vecs @ vecs.T
+    assert not (e8_gram % 4).any()
+    pic = np.array([picard.mw_image(s).as_vector() for s in sections], dtype=np.int64)
+    signs = np.array([1] + [-1] * 9, dtype=np.int64)
+    return bool((e8_gram // 4 == -((pic * signs) @ pic.T)).all())
+
+
 def test_isometry_full_gram_transport():
     assert picard.verify_isometry()
     mapping, basis_pic, basis_e8 = picard.section_isometry()
     assert len(mapping) == 240
     assert len(set(mapping.values())) == 240
+    assert _gram_transports(mapping)
     # negation on the lattice side matches the section involution
     for s in list(mapping)[:40]:
         assert mapping[negation_involution(s)] == -mapping[s]
+
+
+def test_verify_isometry_rejects_two_swapped_images(monkeypatch):
+    # Still a bijection onto the roots, so only the linearity check (and the
+    # full Gram reference) can tell.
+    mapping, basis_pic, basis_e8 = picard.section_isometry()
+    s, t = list(mapping)[:2]
+    swapped = dict(mapping)
+    swapped[s], swapped[t] = mapping[t], mapping[s]
+    assert set(swapped.values()) == set(mapping.values())
+    assert not _gram_transports(swapped)
+    monkeypatch.setattr(picard, "section_isometry", lambda: (swapped, basis_pic, basis_e8))
+    assert picard.verify_isometry.__wrapped__() is False
+    # Bases whose Cartan matrices differ fail as well.
+    reordered = basis_e8[1:] + basis_e8[:1]
+    monkeypatch.setattr(picard, "section_isometry", lambda: (mapping, basis_pic, reordered))
+    assert picard.verify_isometry.__wrapped__() is False
+
+
+def test_section_isometry_invariant_is_an_internal_error(monkeypatch):
+    sections = picard.enumerate_minimal_sections()
+    twice = (sections[0],) + sections[:-1]  # one class twice, so not injective
+    monkeypatch.setattr(picard, "enumerate_minimal_sections", lambda: twice)
+    with pytest.raises(ArithmeticError, match="not injective") as info:
+        picard.section_isometry.__wrapped__()
+    assert not isinstance(info.value, ValueError)
 
 
 def test_mod2_classes_of_sections():
@@ -438,9 +478,39 @@ def test_minimal_sections_are_the_seven_permutation_types():
 
 @pytest.mark.parametrize("name, value", [("_E_RANGE", (-3, 1)), ("_H_MAX", 6)])
 def test_minimal_sections_box_boundary_check_bites(monkeypatch, name, value):
+    # An internal invariant, so not a LatticeError (an input error, exit 2).
     monkeypatch.setattr(picard, name, value)
-    with pytest.raises(LatticeError, match="boundary"):
+    with pytest.raises(ArithmeticError, match="boundary"):
         enumerate_minimal_sections.__wrapped__()
+
+
+def test_minimal_sections_count_check_bites(monkeypatch):
+    monkeypatch.setattr(picard, "_distinct_orderings", lambda m: [tuple(m)])
+    with pytest.raises(ArithmeticError, match="expected 240 minimal sections, found 7"):
+        enumerate_minimal_sections.__wrapped__()
+
+
+def _minimal_sections_by_permutations():
+    """The reference: the box scan, each solution expanded through all 8!
+    permutations of its multiset."""
+    lo, hi = picard._E_RANGE
+    out = []
+    for h in range(picard._H_MAX + 1):
+        for m in combinations_with_replacement(range(lo, hi + 1), 8):
+            if sum(m) == 1 - 3 * h and sum(c * c for c in m) == h * h + 1:
+                out.extend(DivClass(h, (0,) + e) for e in set(permutations(m)))
+    return tuple(sorted(out, key=DivClass.as_vector))
+
+
+def test_minimal_sections_match_the_permutation_expansion():
+    assert enumerate_minimal_sections.__wrapped__() == _minimal_sections_by_permutations()
+
+
+@pytest.mark.parametrize(
+    "m", [(), (3,), (1, 1, 1), (-1, 0, 0, 2), (-2, -2, -1, -1, -1, -1, -1, 0), (0, 1, 2, 3, 4)]
+)
+def test_distinct_orderings_are_the_sorted_distinct_permutations(m):
+    assert list(picard._distinct_orderings(m)) == sorted(set(permutations(m)))
 
 
 def test_minimal_sections_traced_peak_is_small():

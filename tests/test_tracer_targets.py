@@ -5,17 +5,27 @@ and record a call on the workloads that name it.
 resolved on the package by the tracer's own ``getattr`` walk, and one block
 of each workload's requests runs under the tracer, so a renamed, deleted or
 bypassed traced function fails here rather than in a traced benchmark run.
+
+Inside this process every module is imported already, so a fresh
+interpreter checks what the tracer meets right after ``import
+cubesquare.cli``: the modules that load on first use (``cubesquare._LAZY``)
+must still resolve.
 """
 
 import contextlib
 import importlib.util
 import io
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import cubesquare
-import cubesquare.cli  # noqa: F401  (imports every module the tracer names)
+import cubesquare.cli  # noqa: F401  (the tracer's other modules load on access, see cubesquare._LAZY)
+from test_cli import PINNED_HALVING_INPUTS, _small_argvs, _write
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -59,3 +69,59 @@ def test_every_span_records_a_call_on_its_workloads(workload, tmp_path, monkeypa
         tracer.uninstall()
     commands = [spec["argv"][0] for spec in specs]
     assert tracing.per_layer(tracer, commands, workload, 0.0, 1.0, 1.0)[1] == []
+
+
+# Run in a fresh interpreter: import the CLI, send each command line, then
+# resolve every tracer target the way ``Tracer.install`` does.
+FRESH = """
+import contextlib, importlib.util, io, json, sys
+argvs, tracing_path = json.loads(sys.argv[1]), sys.argv[2]
+heavy = ("numpy", "concurrent.futures.process")
+import cubesquare, cubesquare.cli
+out = {
+    "after_import": [m for m in heavy if m in sys.modules],
+    "lazy_loaded": [m for m in cubesquare._LAZY if f"cubesquare.{m}" in sys.modules],
+    "runs": [],
+}
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cubesquare.cli.main(argv)
+    out["runs"].append([argv[0], code, "numpy" in sys.modules])
+spec = importlib.util.spec_from_file_location("_perfbench_tracing", tracing_path)
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer(cubesquare)
+targets = [s[:2] for s in tracing.SPANS] + [c[:2] for c in tracing.COUNTERS]
+out["unresolved"] = [
+    f"{m}.{p}" for m, p in targets if not callable(tracer._target(m, p)[2])
+]
+out["targets"] = len(targets)
+out["numpy_after_resolving"] = "numpy" in sys.modules
+print(json.dumps(out))
+"""
+
+
+def test_a_fresh_interpreter_loads_numpy_only_where_it_is_used(tmp_path):
+    small = _small_argvs(tmp_path)
+    over_q = PINNED_HALVING_INPUTS["Q"]
+    argvs = [
+        ["fibration-info", "--in", _write(tmp_path, "q_model.json", over_q["model"])],
+        ["fibration-halving", "--in", _write(tmp_path, "q_halving.json", over_q)],
+        small["e8-report"],
+        small["picard-report"],
+        small["picard-solve"],
+        small["recillas-forward"],
+    ]
+    src = str(Path(cubesquare.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH, json.dumps(argvs), str(TRACING)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["after_import"] == [] and out["lazy_loaded"] == []
+    assert out["runs"] == [[argv[0], 0, False] for argv in argvs]
+    assert out["targets"] and out["unresolved"] == []
+    # Resolving the kernel's spans is what loads it.
+    assert out["numpy_after_resolving"] is True
