@@ -11,14 +11,14 @@ lattice (``picard``), the trigonal construction on monodromy tuples
 __version__ = "0.1.0"
 
 
-# Submodules that load only when a command uses them (``cli`` imports the rest).
-_LAZY = ("_kernels", "e8", "locusz", "picard", "recillas", "selftest")
+# Submodules that load on first use: numpy comes with ``_kernels``, which only
+# the scan needs (``cli`` imports every other module).
+_LAZY = ("_kernels",)
 
 
 def __getattr__(name):
-    # A lazy submodule (numpy comes with ``_kernels``) loads on first use, so
-    # that a command pays only for what it runs; ``cubesquare.picard`` and the
-    # like still resolve after ``import cubesquare``.
+    # ``cubesquare._kernels`` still resolves for a caller that walks the
+    # package before any scan has run.
     if name in _LAZY:
         import importlib
 

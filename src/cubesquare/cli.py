@@ -20,15 +20,12 @@ is independent of the job count.  Each shard repeats the scan's whole prefix
 pass (over the prefixes whose C0 = F0 - f0^3 is a nonzero square, with the
 C0 = 0 slice solved apart), so jobs buy little; --jobs takes 1..MAX_JOBS.
 
-Set-up loads only what a command uses.  Importing this module loads the
-fibration stack (``fields``, ``poly``, ``binform``, ``families``,
-``fibration``, ``jsonio``); every other command imports its own module
-(``e8``, ``picard``, ``recillas``, ``locusz``, ``selftest``) when it runs.
-numpy is imported by z-search (the scan kernel ``_kernels``, which
-``locusz.decompose_fq`` imports on first use, as selftest does) and by the
-F_p fibration commands (the root scan of ``poly.roots_fp``); the process
-pool only by z-search --jobs > 1.  The other commands, fibration-info and
-fibration-halving over Q among them, load neither.
+Importing this module loads every command's module but neither numpy nor
+the process pool.  numpy is imported by z-search and selftest (the scan
+kernel ``_kernels``, which ``locusz.decompose_fq`` imports on first use)
+and by the F_p fibration commands (the root scan of ``poly.roots_fp``);
+the process pool only by z-search --jobs > 1.  The other commands,
+fibration-info and fibration-halving over Q among them, load neither.
 """
 
 from __future__ import annotations
@@ -37,13 +34,14 @@ import argparse
 import json
 import sys
 
-from . import binform, families, fibration, jsonio
+from . import binform, e8, families, fibration, jsonio, locusz, picard, recillas, selftest
 from . import poly as upoly
-from .errors import LatticeError, MonodromyError
 from .fibration import FibrationError
 from .fields import FieldError, PrimeField
 from .jsonio import SchemaError
+from .picard import LatticeError
 from .poly import PolyError
+from .recillas import MonodromyError
 
 INPUT_ERRORS = (
     SchemaError,
@@ -102,8 +100,6 @@ def _emit(report: dict, out_path: str | None) -> None:
 
 
 def cmd_selftest(args):
-    from . import selftest
-
     _check_trials(args.trials)
     results = selftest.run_all(trials=args.trials, seed=args.seed)
     for res in results:
@@ -120,15 +116,11 @@ def cmd_selftest(args):
 
 
 def cmd_e8_report(args):
-    from . import e8
-
     payload = e8.census_report()
     yield payload, [payload], None
 
 
 def cmd_picard_solve(args):
-    from . import picard
-
     doc = jsonio._object(_load_json(args.infile, "picard-solve --in"), "input")
     gens = [
         jsonio.divclass_from_json(g, f"generators[{i}]")
@@ -152,8 +144,6 @@ def cmd_picard_solve(args):
 
 
 def cmd_picard_report(args):
-    from . import picard
-
     solves = picard.solve_halving_classes()
     recon = picard.standard_zero_base_class()
     sections = picard.enumerate_minimal_sections()
@@ -217,8 +207,6 @@ def cmd_fibration_halving(args):
 
 
 def cmd_recillas_forward(args):
-    from . import recillas
-
     doc = _load_json(args.infile, "recillas-forward --in")
     t = jsonio.tuple_from_json(doc)
     triple, sextic = recillas.forward(t)
@@ -235,8 +223,6 @@ def cmd_recillas_forward(args):
 
 
 def cmd_recillas_reverse(args):
-    from . import recillas
-
     triple_doc = _load_json(args.triple, "recillas-reverse --triple")
     lift_doc = _load_json(args.lift, "recillas-reverse --lift")
     triple = jsonio.tuple_from_json(triple_doc, "triple")
@@ -251,8 +237,6 @@ def cmd_recillas_reverse(args):
 
 def cmd_recillas_selftest(args):
     import random
-
-    from . import recillas
 
     _check_trials(args.trials)
     rng = random.Random(args.seed)
@@ -283,8 +267,6 @@ def cmd_recillas_selftest(args):
 
 
 def cmd_z_verify(args):
-    from . import locusz
-
     doc = _load_json(args.infile, "z-verify --cert")
     form = jsonio.form_from_json(jsonio._need(doc, "F", "cert"), "cert.F")
     point = jsonio.bpoint_from_json(jsonio._need(doc, "point", "cert"), "cert.point")
@@ -293,8 +275,6 @@ def cmd_z_verify(args):
 
 
 def cmd_z_plant(args):
-    from . import locusz
-
     f = jsonio.form_from_json(_load_json(args.f, "z-plant --f"), "f")
     g = jsonio.form_from_json(_load_json(args.g, "z-plant --g"), "g")
     cert = locusz.plant(f, g)
@@ -307,8 +287,6 @@ def cmd_z_plant(args):
 
 
 def cmd_z_search(args):
-    from . import locusz
-
     if not 1 <= args.jobs <= MAX_JOBS:
         raise SchemaError(f"--jobs: need 1..{MAX_JOBS}, got {args.jobs}")
     doc = _load_json(args.infile, "z-search --F")
@@ -332,8 +310,6 @@ def cmd_z_search(args):
 
 
 def cmd_z_constants(args):
-    from . import locusz
-
     payload = locusz.constants_registry()
     yield payload, [payload], None
 

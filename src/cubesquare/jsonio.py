@@ -15,6 +15,8 @@ from .binform import BinForm
 from .families import BPoint, CubicFamily, QuarticFamily
 from .fibration import Section, WModel
 from .fields import field_from_json, field_to_json
+from .picard import Constraint, DivClass
+from .recillas import HurwitzTuple, Perm
 
 
 class SchemaError(ValueError):
@@ -143,8 +145,6 @@ def divclass_to_json(d: DivClass) -> dict:
 
 
 def divclass_from_json(obj: dict, where: str = "class") -> DivClass:
-    from .picard import DivClass
-
     e = _need(obj, "e", where)
     if not isinstance(e, list) or len(e) != 9:
         raise SchemaError(f"{where}.e: need 9 integers")
@@ -155,8 +155,6 @@ def divclass_from_json(obj: dict, where: str = "class") -> DivClass:
 
 
 def constraint_from_json(obj: dict, where: str = "constraint") -> Constraint:
-    from .picard import Constraint
-
     if "genus" in _object(obj, where):
         return Constraint("genus", _integer(obj["genus"], f"{where}.genus"))
     return Constraint(
@@ -174,8 +172,6 @@ def tuple_to_json(t: HurwitzTuple) -> dict:
 
 
 def tuple_from_json(obj: dict, where: str = "tuple") -> HurwitzTuple:
-    from .recillas import HurwitzTuple, Perm
-
     degree = _count(obj, "degree", where)
     perms = []
     for i, images in enumerate(_list(_need(obj, "perms", where), f"{where}.perms")):

@@ -21,7 +21,10 @@ from operator import mul
 from types import MappingProxyType
 
 from . import e8
-from .errors import LatticeError
+
+
+class LatticeError(ValueError):
+    pass
 
 
 class DivClass:
@@ -525,6 +528,7 @@ def section_isometry():
 
     sections = enumerate_minimal_sections()
     root_set = set(e8.enumerate_roots())
+    pic_columns = list(zip(*(r.as_vector() for r in basis_pic)))
     mapping = {}
     for s in sections:
         phi = mw_image(s)
@@ -532,6 +536,10 @@ def section_isometry():
         coords = [
             sum(gram_inv[i][j] * pairings[j] for j in range(8)) for i in range(8)
         ]
+        # The coordinates must write phi itself, not only its pairings: then
+        # the map basis_pic -> basis_e8 (equal Cartan matrices) carries phi.
+        if tuple(sum(map(mul, coords, col)) for col in pic_columns) != phi.as_vector():
+            raise ArithmeticError(f"mw_image of {s} is not a combination of the simple roots")
         img = [0] * 8
         for c, rv in zip(coords, basis_e8):
             for k in range(8):
@@ -547,28 +555,19 @@ def section_isometry():
 
 @lru_cache(maxsize=None)
 def verify_isometry() -> bool:
-    """Check that the isometry is the linear map basis_pic -> basis_e8 and
-    that this map preserves the pairing.
+    """Check that each image pairs with basis_e8 as mw_image(S) pairs with
+    basis_pic.
 
-    The two bases must have the same Cartan matrix; then the linear map is
-    an isometry and the full 240 x 240 Gram data transports along it (the
-    tests check that data too).  Each image is written in basis_e8 through
-    its pairings with that basis, and mw_image(S) must be the same integer
-    combination of basis_pic.  A constant of the cached isometry, so it runs
-    once per process."""
+    section_isometry matched basis_e8 to the Cartan matrix of basis_pic and
+    wrote each mw_image(S) as an integer combination of basis_pic, so this
+    makes the mapping the linear map basis_pic -> basis_e8, an isometry: the
+    full 240 x 240 Gram data transports along it (the tests check that data
+    too).  A constant of the cached isometry, so it runs once per process."""
     mapping, basis_pic, basis_e8 = section_isometry()
-    cartan = _cartan_from(basis_e8, lambda a, b: a.dot(b))
-    if cartan != _cartan_from(basis_pic, lambda a, b: -dot(a, b)):
-        return False
-    inverse, _ = e8.exact_inverse(cartan)  # integral: the Cartan matrix is unimodular
-    inverse = [[int(c) for c in row] for row in inverse]
-    pic_columns = list(zip(*(r.as_vector() for r in basis_pic)))
-    for s, v in mapping.items():
-        pairings = [v.dot(r) for r in basis_e8]
-        coords = [sum(map(mul, row, pairings)) for row in inverse]
-        if tuple(sum(map(mul, coords, col)) for col in pic_columns) != mw_image(s).as_vector():
-            return False
-    return True
+    return all(
+        [v.dot(r) for r in basis_e8] == [-dot(mw_image(s), r) for r in basis_pic]
+        for s, v in mapping.items()
+    )
 
 
 def negation_involution(s: DivClass) -> DivClass:

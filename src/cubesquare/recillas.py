@@ -19,7 +19,9 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from .errors import MonodromyError
+
+class MonodromyError(ValueError):
+    pass
 
 
 class Perm:

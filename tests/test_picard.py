@@ -328,8 +328,8 @@ def test_isometry_full_gram_transport():
 
 
 def test_verify_isometry_rejects_two_swapped_images(monkeypatch):
-    # Still a bijection onto the roots, so only the linearity check (and the
-    # full Gram reference) can tell.
+    # Still a bijection onto the roots, so only the pairings with the bases
+    # (and the full Gram reference) can tell.
     mapping, basis_pic, basis_e8 = picard.section_isometry()
     s, t = list(mapping)[:2]
     swapped = dict(mapping)
@@ -338,7 +338,7 @@ def test_verify_isometry_rejects_two_swapped_images(monkeypatch):
     assert not _gram_transports(swapped)
     monkeypatch.setattr(picard, "section_isometry", lambda: (swapped, basis_pic, basis_e8))
     assert picard.verify_isometry.__wrapped__() is False
-    # Bases whose Cartan matrices differ fail as well.
+    # A reordered E8 basis, whose Cartan matrix differs, fails as well.
     reordered = basis_e8[1:] + basis_e8[:1]
     monkeypatch.setattr(picard, "section_isometry", lambda: (mapping, basis_pic, reordered))
     assert picard.verify_isometry.__wrapped__() is False
@@ -351,6 +351,16 @@ def test_section_isometry_invariant_is_an_internal_error(monkeypatch):
     with pytest.raises(ArithmeticError, match="not injective") as info:
         picard.section_isometry.__wrapped__()
     assert not isinstance(info.value, ValueError)
+
+
+def test_section_isometry_checks_that_the_coordinates_write_the_class(monkeypatch):
+    # phi + K pairs with every simple root as phi does (K is orthogonal to
+    # them), so only the combination check can tell it from phi.
+    mw_image = picard.mw_image
+    assert all(dot(K, r) == 0 for r in picard.simple_roots_pic())
+    monkeypatch.setattr(picard, "mw_image", lambda s: mw_image(s) + K)
+    with pytest.raises(ArithmeticError, match="not a combination of the simple roots"):
+        picard.section_isometry.__wrapped__()
 
 
 def test_mod2_classes_of_sections():

@@ -8,8 +8,8 @@ bypassed traced function fails here rather than in a traced benchmark run.
 
 Inside this process every module is imported already, so a fresh
 interpreter checks what the tracer meets right after ``import
-cubesquare.cli``: the modules that load on first use (``cubesquare._LAZY``)
-must still resolve.
+cubesquare.cli``: the scan kernel, which loads on first use
+(``cubesquare._LAZY``), must still resolve.
 """
 
 import contextlib
@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import cubesquare
-import cubesquare.cli  # noqa: F401  (the tracer's other modules load on access, see cubesquare._LAZY)
+import cubesquare.cli  # noqa: F401  (imports every traced module but the lazy ``_kernels``)
 from test_cli import PINNED_HALVING_INPUTS, _small_argvs, _write
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
