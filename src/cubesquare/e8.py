@@ -56,9 +56,6 @@ class E8Vector:
             raise ValueError("inner product not integral; bad vectors")
         return s // 4
 
-    def norm(self) -> int:
-        return self.dot(self)
-
 
 @lru_cache(maxsize=None)
 def enumerate_roots() -> tuple[E8Vector, ...]:
@@ -105,17 +102,20 @@ def enumerate_norm4() -> tuple[E8Vector, ...]:
     return tuple(out)
 
 
-# Generator matrix in doubled coordinates: rows are 2e1, e_{i+1}-e_i (i=1..7),
-# and the all-halves glue vector, each doubled.
+# The lattice basis in doubled coordinates: eight simple roots, with the
+# Cartan matrix of ``picard.simple_roots_pic`` in its order.  The first seven
+# form the chain -e1-e2, e2-e3, ..., e7-e8; the eighth, the half-vector
+# (1,-1,-1,1,1,1,1,1)/2, is attached at the third node.  Determinant -256 in
+# doubled coordinates, so the basis is unimodular.
 BASIS_DCOORDS = (
-    (4, 0, 0, 0, 0, 0, 0, 0),
-    (-2, 2, 0, 0, 0, 0, 0, 0),
-    (0, -2, 2, 0, 0, 0, 0, 0),
-    (0, 0, -2, 2, 0, 0, 0, 0),
-    (0, 0, 0, -2, 2, 0, 0, 0),
-    (0, 0, 0, 0, -2, 2, 0, 0),
-    (0, 0, 0, 0, 0, -2, 2, 0),
-    (1, 1, 1, 1, 1, 1, 1, 1),
+    (-2, -2, 0, 0, 0, 0, 0, 0),
+    (0, 2, -2, 0, 0, 0, 0, 0),
+    (0, 0, 2, -2, 0, 0, 0, 0),
+    (0, 0, 0, 2, -2, 0, 0, 0),
+    (0, 0, 0, 0, 2, -2, 0, 0),
+    (0, 0, 0, 0, 0, 2, -2, 0),
+    (0, 0, 0, 0, 0, 0, 2, -2),
+    (1, -1, -1, 1, 1, 1, 1, 1),
 )
 
 
@@ -145,7 +145,7 @@ def row_reduce(rows, ncols: int):
         for i in range(len(m)):
             if i != r and m[i][col]:
                 f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
         pivots.append(col)
     return m, pivots, det
 

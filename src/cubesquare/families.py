@@ -201,7 +201,10 @@ def delta12_cubic(fam: CubicFamily) -> BinForm:
     num = weierstrass_discriminant(Cleared(fam.field, U, 3 * D), Cleared(fam.field, V, 3 * D))
     if num.is_zero:
         return BinForm.zero(fam.field, num.degree - 2 * q0.degree)
-    return num.divexact(q0 * q0)
+    try:
+        return num.divexact(q0 * q0)
+    except PolyError as exc:
+        raise ArithmeticError(f"q0^2 does not divide the cubic's discriminant: {exc}") from exc
 
 
 def u_invariants_quartic(fam: QuarticFamily):

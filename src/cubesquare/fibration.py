@@ -85,7 +85,7 @@ def two_torsion_trigonal(w: WModel) -> CubicFamily:
 
 
 class Section:
-    """A section of the fibration, or the zero section O.
+    """A section of the fibration, or the zero section O (``Section.zero``).
 
     ``Section(..., model=w)`` checks the equation of ``w`` once and records
     it in ``model``; functions that take a section on ``w`` trust that record
@@ -94,13 +94,9 @@ class Section:
 
     __slots__ = ("field", "is_zero", "x_num", "x_den_sqrt", "y_num", "model")
 
-    def __init__(self, x_num, x_den_sqrt, y_num, is_zero=False, model=None):
-        self.is_zero = bool(is_zero)
+    def __init__(self, x_num, x_den_sqrt, y_num, model=None):
+        self.is_zero = False
         self.model = None
-        if self.is_zero:
-            self.field = None if x_num is None else x_num.field
-            self.x_num = self.x_den_sqrt = self.y_num = None
-            return
         same_field(x_num.field, x_den_sqrt.field)
         same_field(x_num.field, y_num.field)
         k = x_den_sqrt.degree

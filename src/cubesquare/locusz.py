@@ -140,7 +140,7 @@ def _group_orbits(field: PrimeField, raw_pairs) -> list[DecompositionOrbit]:
             continue
         orbit = _orbit_of(field, pair[0], pair[1], units)
         if not orbit <= raw:
-            raise PolyError(f"scan output not closed under the torus action at {pair}")
+            raise ArithmeticError(f"scan output not closed under the torus action at {pair}")
         seen |= orbit
         orbits.append(DecompositionOrbit(field, orbit))
     return sorted(orbits, key=lambda o: o.representative)

@@ -471,41 +471,6 @@ def _cartan_from(vectors, pairing) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(pairing(a, b) for b in vectors) for a in vectors)
 
 
-def _match_simple_roots_e8(target_gram):
-    """Find E8 roots (as e8.E8Vector) with the given positive Gram matrix."""
-    roots = e8.enumerate_roots()
-    dots = {}
-
-    def pair(u, v):
-        key = (id(u), id(v))
-        if key not in dots:
-            dots[key] = u.dot(v)
-        return dots[key]
-
-    n = len(target_gram)
-    chosen: list = []
-
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
-        for cand in roots:
-            ok = True
-            for i, prev in enumerate(chosen):
-                if pair(prev, cand) != target_gram[i][k]:
-                    ok = False
-                    break
-            if ok and cand.norm() == target_gram[k][k]:
-                chosen.append(cand)
-                if extend(k + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if not extend(0):
-        raise ArithmeticError("no matching simple-root octuple in E8")
-    return chosen
-
-
 @lru_cache(maxsize=None)
 def section_isometry():
     """An explicit pairing-preserving bijection of the 240 section classes
@@ -513,12 +478,16 @@ def section_isometry():
 
     Returns (mapping, basis_pic, basis_e8) where mapping is a dict
     DivClass -> E8Vector.  Any valid isometry is acceptable; this one sends
-    mw_image(S) to its coordinates in a fixed simple-root basis.  A failed
-    construction is an internal error (ArithmeticError).
+    the simple roots of ``simple_roots_pic`` to those of ``e8.BASIS_DCOORDS``
+    in order, so mw_image(S) goes to the same coordinates in the E8 basis.
+    A failed construction, an E8 basis with another Cartan matrix included,
+    is an internal error (ArithmeticError).
     """
     basis_pic = simple_roots_pic()
+    basis_e8 = [e8.E8Vector(d) for d in e8.BASIS_DCOORDS]
     gram = _cartan_from(basis_pic, lambda a, b: -dot(a, b))
-    basis_e8 = _match_simple_roots_e8(gram)
+    if _cartan_from(basis_e8, e8.E8Vector.dot) != gram:
+        raise ArithmeticError("e8.BASIS_DCOORDS does not have the Picard Cartan matrix")
     inverse, det = e8.exact_inverse(gram)
     if det not in (1, -1):
         raise ArithmeticError(f"Gram determinant {det}, expected a unit")
@@ -558,9 +527,10 @@ def verify_isometry() -> bool:
     """Check that each image pairs with basis_e8 as mw_image(S) pairs with
     basis_pic.
 
-    section_isometry matched basis_e8 to the Cartan matrix of basis_pic and
-    wrote each mw_image(S) as an integer combination of basis_pic, so this
-    makes the mapping the linear map basis_pic -> basis_e8, an isometry: the
+    section_isometry checked that basis_e8 has the Cartan matrix of
+    basis_pic and wrote each mw_image(S) as an integer combination of
+    basis_pic, so this makes the mapping the linear map basis_pic ->
+    basis_e8, an isometry: the
     full 240 x 240 Gram data transports along it (the tests check that data
     too).  A constant of the cached isometry, so it runs once per process."""
     mapping, basis_pic, basis_e8 = section_isometry()

@@ -8,9 +8,12 @@ plus an everywhere-unramified double cover of it (the action on the six
 2-subsets); the reverse direction goes through the octahedron whose four
 pairs of opposite faces are the four recovered sheets.
 
-Labeling conventions are fixed constants of this module (the symbol orders
-below and the octahedron incidence table); round-trip correctness up to a
-global relabeling is the contract that matters.
+All four maps are induced actions on ordered set systems: a permutation of
+the sheets moves each member of a fixed, ordered tuple of sets of sheets (the
+pair-partitions, the 2-subsets, the opposite vertex pairs, the pairs of
+opposite faces), and ``_induced`` reads off where each member goes.  The
+orders of these tuples are the module's labeling conventions; round-trip
+correctness up to a global relabeling is the contract that matters.
 """
 
 from __future__ import annotations
@@ -191,31 +194,53 @@ _TWO_SUBSETS = (
     frozenset({0, 3}),  # {a,d}
     frozenset({1, 2}),  # {b,c}
 )
-# Opposite pairs of octahedron vertices, in the order x, y, z.
-_OPPOSITE = ((0, 1), (2, 3), (4, 5))
+# Opposite pairs of octahedron vertices, in the order x, y, z: vertex v is
+# opposite v ^ 1 and lies over sheet v // 2 of the triple cover.
+_OPPOSITE_VERTICES = (frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5}))
+# The four pairs of opposite faces.  A face takes one vertex from each
+# opposite pair; each pair is listed by its face through vertex 0 = x'.
+_OPPOSITE_FACES = tuple(
+    frozenset({frozenset({0, y, z}), frozenset({1, y ^ 1, z ^ 1})})
+    for y in (2, 3)
+    for z in (4, 5)
+)
+# Each system's members with their places, built once.
+_PLACES = {
+    system: {member: k for k, member in enumerate(system)}
+    for system in (_PAIR_PARTITIONS, _TWO_SUBSETS, _OPPOSITE_VERTICES, _OPPOSITE_FACES)
+}
+
+
+def _moved(images, s: frozenset) -> frozenset:
+    """The image of s, a set of sheets or a set of such sets."""
+    return frozenset(images[x] if type(x) is int else _moved(images, x) for x in s)
+
+
+def _induced(
+    p: Perm, system: tuple, error: str = "permutation does not preserve the set system"
+) -> Perm:
+    """The permutation p induces on the members of a fixed, ordered system
+    of sets of sheets (or of sets of such sets); MonodromyError(error) when
+    p moves a member out of the system."""
+    places = _PLACES[system]
+    try:
+        return Perm([places[_moved(p.images, member)] for member in system])
+    except KeyError:
+        raise MonodromyError(error) from None
 
 
 def s4_to_s3(p: Perm) -> Perm:
     """Induced action on the three pair-partitions (the Klein-four quotient)."""
     if p.n != 4:
         raise MonodromyError("s4_to_s3 needs degree 4")
-    images = []
-    for part in _PAIR_PARTITIONS:
-        moved = frozenset(
-            frozenset(p(i) for i in block) for block in part
-        )
-        images.append(_PAIR_PARTITIONS.index(moved))
-    return Perm(images)
+    return _induced(p, _PAIR_PARTITIONS)
 
 
 def s4_to_s6(p: Perm) -> Perm:
     """Induced action on the six 2-subsets of the sheets."""
     if p.n != 4:
         raise MonodromyError("s4_to_s6 needs degree 4")
-    images = []
-    for sub in _TWO_SUBSETS:
-        images.append(_TWO_SUBSETS.index(frozenset(p(i) for i in sub)))
-    return Perm(images)
+    return _induced(p, _TWO_SUBSETS)
 
 
 def forward(t: HurwitzTuple) -> tuple[HurwitzTuple, HurwitzTuple]:
@@ -246,46 +271,6 @@ def forward(t: HurwitzTuple) -> tuple[HurwitzTuple, HurwitzTuple]:
     return triple, sextic
 
 
-def _vertex_pair(v: int) -> int:
-    for k, (a, b) in enumerate(_OPPOSITE):
-        if v in (a, b):
-            return k
-    raise MonodromyError(f"bad vertex {v}")
-
-
-def _opposite_vertex(v: int) -> int:
-    for a, b in _OPPOSITE:
-        if v == a:
-            return b
-        if v == b:
-            return a
-    raise MonodromyError(f"bad vertex {v}")
-
-
-# The eight octahedron faces: one vertex from each opposite pair.
-_FACES = tuple(
-    frozenset({x, y, z})
-    for x in _OPPOSITE[0]
-    for y in _OPPOSITE[1]
-    for z in _OPPOSITE[2]
-)
-
-
-def _opposite_face(face: frozenset) -> frozenset:
-    return frozenset(_opposite_vertex(v) for v in face)
-
-
-# Face pairs in a fixed order; the pair of a face is the index of the member
-# containing vertex 0 = x'.
-_FACE_PAIRS = tuple(f for f in _FACES if 0 in f)
-
-
-def _face_pair_index(face: frozenset) -> int:
-    if 0 not in face:
-        face = _opposite_face(face)
-    return _FACE_PAIRS.index(face)
-
-
 def reverse(triple: HurwitzTuple, lift: HurwitzTuple) -> HurwitzTuple:
     """(triple cover, etale double cover) -> quadruple cover.
 
@@ -302,27 +287,19 @@ def reverse(triple: HurwitzTuple, lift: HurwitzTuple) -> HurwitzTuple:
         raise MonodromyError("triple cover disconnected")
     if not lift.is_transitive:
         raise MonodromyError("double cover disconnected (split lift)")
+    not_projecting = "lift does not project to the triple tuple"
     for p3, p6 in zip(triple.perms, lift.perms):
-        # Projection: vertex pairs must map according to the triple tuple.
-        for v in range(6):
-            if _vertex_pair(p6(v)) != p3(_vertex_pair(v)):
-                raise MonodromyError("lift does not project to the triple tuple")
+        # Projection: p6 must move the opposite vertex pairs as p3 moves the sheets.
+        if _induced(p6, _OPPOSITE_VERTICES, not_projecting) != p3:
+            raise MonodromyError(not_projecting)
         # Etale: the two vertices over a sheet are never glued along a cycle,
         # i.e. every cycle of p3 is covered by two cycles of equal length.
         for cyc in p3.cycles():
-            covering = [c for c in p6.cycles() if _vertex_pair(c[0]) in cyc]
+            covering = [c for c in p6.cycles() if c[0] // 2 in cyc]
             lengths = sorted(len(c) for c in covering)
             if lengths != [len(cyc), len(cyc)]:
                 raise MonodromyError("lift is ramified over a branch point")
-    out = []
-    for p6 in lift.perms:
-        images = []
-        for pair_idx in range(4):
-            face = _FACE_PAIRS[pair_idx]
-            img_face = frozenset(p6(v) for v in face)
-            images.append(_face_pair_index(img_face))
-        out.append(Perm(images))
-    result = HurwitzTuple(4, out)
+    result = HurwitzTuple(4, [_induced(p6, _OPPOSITE_FACES) for p6 in lift.perms])
     if not all(p.is_transposition() for p in result.perms):
         raise MonodromyError("reverse output not simply branched")
     if not result.is_transitive:

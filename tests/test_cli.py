@@ -269,6 +269,21 @@ def test_recillas_cli_roundtrip(tmp_path, capsys):
     assert recillas.find_conjugator(t, back) is not None
 
 
+def test_recillas_reverse_rejects_a_lift_that_breaks_the_opposite_pairs(tmp_path, capsys):
+    from cubesquare import jsonio, recillas
+
+    triple, sextic = recillas.forward(recillas.random_tuple(4, 12, seed=11))
+    # Conjugating by x'' <-> y' keeps the lift transitive, but its entries now
+    # keep {0,2}, {1,3}, {4,5} together, not the opposite pairs.
+    moved = sextic.conjugate(recillas.Perm.transposition(6, 1, 2))
+    assert moved.is_transitive
+    tp = _write(tmp_path, "triple.json", jsonio.tuple_to_json(triple))
+    lp = _write(tmp_path, "lift.json", jsonio.tuple_to_json(moved))
+    code, out = run_cli(capsys, "recillas-reverse", "--triple", tp, "--lift", lp)
+    _assert_input_error(code, out, "lift does not project to the triple tuple")
+    assert len(_reports(out)) == 1
+
+
 def test_recillas_forward_rejects_disconnected_input(tmp_path, capsys):
     # twelve copies of one transposition: identity product, not transitive
     doc = {"degree": 4, "perms": [[2, 1, 3, 4]] * 12}
@@ -659,6 +674,24 @@ def test_a_broken_lattice_invariant_exits_3_not_2(capsys, monkeypatch):
     assert error["code"] == 3
     assert error["message"].startswith("internal error: ArithmeticError: solution")
     assert "search-box boundary" in error["message"]
+
+
+def test_a_scan_not_closed_under_the_torus_action_exits_3(tmp_path, capsys, monkeypatch):
+    # A scan that loses one hit of an orbit is a bug in the program, not bad
+    # input.  Over F_7 every orbit has three canonical hits, so the other two
+    # remain and their orbit is incomplete.
+    from cubesquare import _kernels
+
+    scan = _kernels.decompose_scan
+    monkeypatch.setattr(_kernels, "decompose_scan", lambda *args: scan(*args)[1:])
+    F_doc = {"degree": 12, "field": {"kind": "Fp", "p": 7}, "coeffs": ["1"] + ["0"] * 11 + ["1"]}
+    code, out = run_cli(capsys, "z-search", "--F", _write(tmp_path, "F.json", F_doc))
+    assert code == 3
+    (report,) = _reports(out)
+    assert report["error"]["code"] == 3
+    assert report["error"]["message"].startswith(
+        "internal error: ArithmeticError: scan output not closed under the torus action"
+    )
 
 
 def test_picard_solve_rejects_a_box_over_the_enumeration_cap(tmp_path, capsys):

@@ -76,6 +76,29 @@ def test_delta12_cubic():
         delta12_cubic(CubicFamily.constants(QQ, [0, 0, 1, 1]))
 
 
+def test_delta12_cubic_remainder_is_an_internal_error(monkeypatch):
+    from cubesquare import families
+
+    # q0 = x + y, so a remainder mod q0^2 is possible.
+    fam = CubicFamily(
+        BinForm(QQ, 1, [1, 1]),
+        BinForm(QQ, 2, [1, 0, 2]),
+        BinForm(QQ, 3, [0, 1, 0, -1]),
+        BinForm(QQ, 4, [3, 0, 1, 0, 1]),
+    )
+    delta12_cubic(fam)
+    formula = families.weierstrass_discriminant
+
+    def off_by_a_monomial(u, v):
+        num = formula(u, v)
+        return num + BinForm(QQ, num.degree, [1] + [0] * num.degree)
+
+    monkeypatch.setattr(families, "weierstrass_discriminant", off_by_a_monomial)
+    with pytest.raises(ArithmeticError, match="q0\\^2 does not divide") as info:
+        delta12_cubic(fam)
+    assert not isinstance(info.value, PolyError)
+
+
 def test_e_profile_passthrough():
     a = BinForm(QQ, 4, [1, 2, 0, -1, 3])
     b = BinForm(QQ, 6, [0, 1, 1, 0, 2, 0, -5])

@@ -353,6 +353,18 @@ def test_section_isometry_invariant_is_an_internal_error(monkeypatch):
     assert not isinstance(info.value, ValueError)
 
 
+def test_section_isometry_needs_the_picard_cartan_matrix(monkeypatch):
+    from cubesquare import e8
+
+    basis = e8.BASIS_DCOORDS
+    assert picard.section_isometry()[2] == tuple(e8.E8Vector(d) for d in basis)
+    # The same eight roots in another order have another Cartan matrix.
+    monkeypatch.setattr(e8, "BASIS_DCOORDS", basis[1:] + basis[:1])
+    with pytest.raises(ArithmeticError, match="Picard Cartan matrix") as info:
+        picard.section_isometry.__wrapped__()
+    assert not isinstance(info.value, ValueError)
+
+
 def test_section_isometry_checks_that_the_coordinates_write_the_class(monkeypatch):
     # phi + K pairs with every simple root as phi does (K is orthogonal to
     # them), so only the combination check can tell it from phi.

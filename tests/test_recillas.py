@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -20,7 +21,7 @@ from cubesquare.recillas import (
     s4_to_s6,
 )
 
-S4 = [Perm(images) for images in __import__("itertools").permutations(range(4))]
+S4 = [Perm(images) for images in itertools.permutations(range(4))]
 
 
 def T(n, i, j):
@@ -129,13 +130,133 @@ def test_klein_four_closure_maps_to_identity_product():
 
 
 def test_octahedron_table_sanity():
-    # opposite faces share no vertex; face pairs partition the 8 faces
-    faces = recillas._FACES
-    assert len(faces) == 8
-    for f in faces:
-        assert not (f & recillas._opposite_face(f))
-    pairs = {frozenset((f, recillas._opposite_face(f))) for f in faces}
+    # A face takes one vertex from each opposite vertex pair; opposite faces
+    # share no vertex; the four face pairs partition the 8 faces, each pair
+    # listed by its face through vertex 0.
+    vertex_pairs = recillas._OPPOSITE_VERTICES
+    pairs = recillas._OPPOSITE_FACES
     assert len(pairs) == 4
+    faces = [face for pair in pairs for face in pair]
+    assert len(set(faces)) == 8
+    assert set(faces) == {frozenset(f) for f in itertools.product(*map(sorted, vertex_pairs))}
+    for pair in pairs:
+        first, second = sorted(pair, key=lambda face: 0 not in face)
+        assert 0 in first and not (first & second)
+        assert second == frozenset(v ^ 1 for v in first)
+    assert [next(face for face in pair if 0 in face) for pair in pairs] == [
+        {0, 2, 4},
+        {0, 2, 5},
+        {0, 3, 4},
+        {0, 3, 5},
+    ]
+
+
+# The induced actions, pinned as tables.  A sheet permutation maps to its
+# images on the pair-partitions (S3) and on the 2-subsets (S6); a lift that
+# preserves the opposite vertex pairs maps to its image on the pairs of
+# opposite faces (S4).
+S4_IMAGES = {
+    (0, 1, 2, 3): ((0, 1, 2), (0, 1, 2, 3, 4, 5)),
+    (0, 1, 3, 2): ((0, 2, 1), (0, 1, 4, 5, 2, 3)),
+    (0, 2, 1, 3): ((1, 0, 2), (2, 3, 0, 1, 4, 5)),
+    (0, 2, 3, 1): ((1, 2, 0), (2, 3, 4, 5, 0, 1)),
+    (0, 3, 1, 2): ((2, 0, 1), (4, 5, 0, 1, 2, 3)),
+    (0, 3, 2, 1): ((2, 1, 0), (4, 5, 2, 3, 0, 1)),
+    (1, 0, 2, 3): ((0, 2, 1), (0, 1, 5, 4, 3, 2)),
+    (1, 0, 3, 2): ((0, 1, 2), (0, 1, 3, 2, 5, 4)),
+    (1, 2, 0, 3): ((2, 0, 1), (5, 4, 0, 1, 3, 2)),
+    (1, 2, 3, 0): ((2, 1, 0), (5, 4, 3, 2, 0, 1)),
+    (1, 3, 0, 2): ((1, 0, 2), (3, 2, 0, 1, 5, 4)),
+    (1, 3, 2, 0): ((1, 2, 0), (3, 2, 5, 4, 0, 1)),
+    (2, 0, 1, 3): ((1, 2, 0), (2, 3, 5, 4, 1, 0)),
+    (2, 0, 3, 1): ((1, 0, 2), (2, 3, 1, 0, 5, 4)),
+    (2, 1, 0, 3): ((2, 1, 0), (5, 4, 2, 3, 1, 0)),
+    (2, 1, 3, 0): ((2, 0, 1), (5, 4, 1, 0, 2, 3)),
+    (2, 3, 0, 1): ((0, 1, 2), (1, 0, 2, 3, 5, 4)),
+    (2, 3, 1, 0): ((0, 2, 1), (1, 0, 5, 4, 2, 3)),
+    (3, 0, 1, 2): ((2, 1, 0), (4, 5, 3, 2, 1, 0)),
+    (3, 0, 2, 1): ((2, 0, 1), (4, 5, 1, 0, 3, 2)),
+    (3, 1, 0, 2): ((1, 2, 0), (3, 2, 4, 5, 1, 0)),
+    (3, 1, 2, 0): ((1, 0, 2), (3, 2, 1, 0, 4, 5)),
+    (3, 2, 0, 1): ((0, 2, 1), (1, 0, 4, 5, 3, 2)),
+    (3, 2, 1, 0): ((0, 1, 2), (1, 0, 3, 2, 4, 5)),
+}
+FACE_PAIR_IMAGES = {
+    (0, 1, 2, 3, 4, 5): (0, 1, 2, 3),
+    (0, 1, 2, 3, 5, 4): (1, 0, 3, 2),
+    (0, 1, 3, 2, 4, 5): (2, 3, 0, 1),
+    (0, 1, 3, 2, 5, 4): (3, 2, 1, 0),
+    (0, 1, 4, 5, 2, 3): (0, 2, 1, 3),
+    (0, 1, 4, 5, 3, 2): (2, 0, 3, 1),
+    (0, 1, 5, 4, 2, 3): (1, 3, 0, 2),
+    (0, 1, 5, 4, 3, 2): (3, 1, 2, 0),
+    (1, 0, 2, 3, 4, 5): (3, 2, 1, 0),
+    (1, 0, 2, 3, 5, 4): (2, 3, 0, 1),
+    (1, 0, 3, 2, 4, 5): (1, 0, 3, 2),
+    (1, 0, 3, 2, 5, 4): (0, 1, 2, 3),
+    (1, 0, 4, 5, 2, 3): (3, 1, 2, 0),
+    (1, 0, 4, 5, 3, 2): (1, 3, 0, 2),
+    (1, 0, 5, 4, 2, 3): (2, 0, 3, 1),
+    (1, 0, 5, 4, 3, 2): (0, 2, 1, 3),
+    (2, 3, 0, 1, 4, 5): (0, 1, 3, 2),
+    (2, 3, 0, 1, 5, 4): (1, 0, 2, 3),
+    (2, 3, 1, 0, 4, 5): (3, 2, 0, 1),
+    (2, 3, 1, 0, 5, 4): (2, 3, 1, 0),
+    (2, 3, 4, 5, 0, 1): (0, 3, 1, 2),
+    (2, 3, 4, 5, 1, 0): (3, 0, 2, 1),
+    (2, 3, 5, 4, 0, 1): (1, 2, 0, 3),
+    (2, 3, 5, 4, 1, 0): (2, 1, 3, 0),
+    (3, 2, 0, 1, 4, 5): (2, 3, 1, 0),
+    (3, 2, 0, 1, 5, 4): (3, 2, 0, 1),
+    (3, 2, 1, 0, 4, 5): (1, 0, 2, 3),
+    (3, 2, 1, 0, 5, 4): (0, 1, 3, 2),
+    (3, 2, 4, 5, 0, 1): (2, 1, 3, 0),
+    (3, 2, 4, 5, 1, 0): (1, 2, 0, 3),
+    (3, 2, 5, 4, 0, 1): (3, 0, 2, 1),
+    (3, 2, 5, 4, 1, 0): (0, 3, 1, 2),
+    (4, 5, 0, 1, 2, 3): (0, 2, 3, 1),
+    (4, 5, 0, 1, 3, 2): (2, 0, 1, 3),
+    (4, 5, 1, 0, 2, 3): (3, 1, 0, 2),
+    (4, 5, 1, 0, 3, 2): (1, 3, 2, 0),
+    (4, 5, 2, 3, 0, 1): (0, 3, 2, 1),
+    (4, 5, 2, 3, 1, 0): (3, 0, 1, 2),
+    (4, 5, 3, 2, 0, 1): (2, 1, 0, 3),
+    (4, 5, 3, 2, 1, 0): (1, 2, 3, 0),
+    (5, 4, 0, 1, 2, 3): (1, 3, 2, 0),
+    (5, 4, 0, 1, 3, 2): (3, 1, 0, 2),
+    (5, 4, 1, 0, 2, 3): (2, 0, 1, 3),
+    (5, 4, 1, 0, 3, 2): (0, 2, 3, 1),
+    (5, 4, 2, 3, 0, 1): (1, 2, 3, 0),
+    (5, 4, 2, 3, 1, 0): (2, 1, 0, 3),
+    (5, 4, 3, 2, 0, 1): (3, 0, 1, 2),
+    (5, 4, 3, 2, 1, 0): (0, 3, 2, 1),
+}
+
+
+def test_s4_images_are_pinned():
+    assert len(S4_IMAGES) == 24
+    for p in S4:
+        assert (s4_to_s3(p).images, s4_to_s6(p).images) == S4_IMAGES[p.images]
+
+
+def test_face_pair_action_is_pinned():
+    # Exactly the 48 permutations of the six vertices that keep opposite
+    # vertices opposite act on the face pairs; each of the other 672 moves an
+    # opposite vertex pair, and so a face pair, out of its system.
+    assert len(FACE_PAIR_IMAGES) == 48
+    for images in itertools.permutations(range(6)):
+        p6 = Perm(images)
+        if images in FACE_PAIR_IMAGES:
+            faces = recillas._induced(p6, recillas._OPPOSITE_FACES)
+            assert faces.images == FACE_PAIR_IMAGES[images]
+        else:
+            for system in (recillas._OPPOSITE_VERTICES, recillas._OPPOSITE_FACES):
+                with pytest.raises(MonodromyError):
+                    recillas._induced(p6, system)
+    # reverse reads each lift entry through the same table.
+    triple, sextic = forward(random_tuple(4, 12, seed=10))
+    back = reverse(triple, sextic)
+    assert [p.images for p in back.perms] == [FACE_PAIR_IMAGES[p.images] for p in sextic.perms]
 
 
 def test_reverse_round_trip_with_explicit_conjugator():

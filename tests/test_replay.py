@@ -1,0 +1,58 @@
+"""The benchmark's seed-1 requests give pinned reports, byte for byte.
+
+Reports are pure functions of argv and the input documents, so a refactor
+must leave every report of the workloads' inputs unchanged.  This replays, in
+process through ``cli.main``, every warm-up and pool request of the seed-1
+``lattice`` manifest and the warm-ups and blocks 0-9 of the other three
+workloads, and compares one sha256 per workload over (command, exit code,
+stdout) of each request with the digest pinned here.  Reports carry a digest
+of the input documents, not their paths, so the work directory does not
+matter.  ``perfbench/`` is only read.
+"""
+
+import contextlib
+import hashlib
+import io
+from pathlib import Path
+
+import pytest
+
+from cubesquare import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BLOCKS = 10
+
+# workload -> (requests replayed, sha256 of their reports).
+PINNED = {
+    "fibration-fp": (52, "9ad76b3ff57dfe36daacd2c769ce32b266e9561cb51519f9d6109be54bfe79ef"),
+    "fibration-q": (52, "7ddd205120ad55e4933d3d914eb3db16fb0ff52795b63e3e76857797452515bd"),
+    "lattice": (1105, "724b8a191a8b57f8a6f1f7ad13ca6c4372739488fe22b1bba82fed21948aaaa7"),
+    "zsearch": (202, "c58ae6e0fd6c641afd34862aee160194bf93e82c80d05f1c8ab8b5e73ce3c5ac"),
+}
+
+
+def _requests(workloads, name, workdir):
+    manifest = workloads.build_manifest(name, 1, workdir)
+    specs = list(manifest["warmup"])
+    if name == "lattice":
+        specs += [spec for cls in manifest["classes"] for item in cls["pool"] for spec in item]
+    else:
+        specs += [spec for k in range(BLOCKS) for spec in workloads.block(manifest, k)]
+    return specs
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED))
+def test_seed_1_reports_are_byte_identical(workload, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    specs = _requests(workloads, workload, str(tmp_path))
+    digest = hashlib.sha256()
+    for spec in specs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = cli.main(spec["argv"])
+        for part in (spec["argv"][0], str(status), out.getvalue()):
+            digest.update(part.encode())
+            digest.update(b"\x00")
+    assert (len(specs), digest.hexdigest()) == PINNED[workload]
