@@ -21,11 +21,11 @@ pass (over the prefixes whose C0 = F0 - f0^3 is a nonzero square, with the
 C0 = 0 slice solved apart), so jobs buy little; --jobs takes 1..MAX_JOBS.
 
 Importing this module loads every command's module but neither numpy nor
-the process pool.  numpy is imported by z-search and selftest (the scan
-kernel ``_kernels``, which ``locusz.decompose_fq`` imports on first use)
-and by the F_p fibration commands (the root scan of ``poly.roots_fp``);
-the process pool only by z-search --jobs > 1.  The other commands,
-fibration-info and fibration-halving over Q among them, load neither.
+the process pool.  numpy is imported only by z-search and selftest, through
+the scan kernel ``_kernels``, which ``locusz.decompose_fq`` imports on first
+use; the process pool only by z-search --jobs > 1.  The other commands,
+fibration-info and fibration-halving over Q and F_p among them, load
+neither.
 """
 
 from __future__ import annotations

@@ -428,7 +428,7 @@ def random_planted_model(field: PrimeField, rng: random.Random, tries: int = 400
 def fibration_report(w: WModel) -> dict:
     """Analysis summary for the CLI: membership, label, F_p nodal points."""
     report = {"in_A": w.nodal, "kodaira": kodaira_label(w)}
-    if isinstance(w.field, PrimeField) and w.field.p <= upoly.ROOT_SCAN_BOUND:
+    if isinstance(w.field, PrimeField):
         pts = binform.roots_fp(w.delta)
         report["nodal_points_fp"] = sorted(
             [list(pt) + [m] for pt, m in pts.items()]

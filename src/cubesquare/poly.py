@@ -11,9 +11,23 @@ coefficients alike.
 
 ``UniPoly`` stores ascending coefficients with trailing zeros trimmed.
 Resultants run the Euclidean remainder recursion over Q and F_p alike.
+
+Over F_p, the root finder and the squarefree test run on a private core of
+raw integers: ascending ``int`` lists reduced mod p, with no field tag and
+no ``coerce`` per coefficient.  ``_rem`` reduces once per remainder,
+``_gcd`` is monic, and ``_powmod`` packs each residue into one integer
+(Kronecker substitution), so that a product of residues is one integer
+product.  The F_p roots of f are those of ``_root_part`` = gcd(f, x^p - x),
+which equal-degree splitting (Cantor and Zassenhaus, 1981) separates; this
+costs O(deg^2 log p) operations on residues, whatever the size of p.  The
+squarefree test over F_p is gcd(f, f') on the core; over Q it stays on
+``UniPoly``.
 """
 
 from __future__ import annotations
+
+import random
+from operator import mul
 
 from .fields import PrimeField, same_field
 
@@ -75,14 +89,6 @@ class UniPoly:
     @classmethod
     def zero(cls, field):
         return cls(field, [])
-
-    @classmethod
-    def const(cls, field, c):
-        return cls(field, [c])
-
-    @classmethod
-    def x(cls, field):
-        return cls(field, [0, 1])
 
     @property
     def degree(self) -> int:
@@ -228,11 +234,12 @@ def is_squarefree(f: UniPoly) -> bool:
         raise PolyError("squarefree test on zero")
     if f.degree == 0:
         return True
-    fp = f.derivative()
-    if fp.is_zero:
-        # Only happens in characteristic p: f is a p-th power.
-        return False
-    return gcd(f, fp).degree == 0
+    if isinstance(f.field, PrimeField):
+        p = f.field.p
+        # f' = 0 when f is a p-th power: then gcd(f, f') = f, not squarefree.
+        df = _trim([i * c % p for i, c in enumerate(f.coeffs)][1:])
+        return len(_gcd(f.coeffs, df, p)) == 1
+    return gcd(f, f.derivative()).degree == 0
 
 
 def perfect_square_root(f: UniPoly):
@@ -266,60 +273,148 @@ def perfect_square_root(f: UniPoly):
     return None
 
 
-ROOT_SCAN_BOUND = 10**6
-
-
 def distinct_root_count_fp(f: UniPoly) -> int:
-    """deg gcd(f, x^p - x), with x^p reduced mod f by repeated squaring."""
-    F = f.field
-    if not isinstance(F, PrimeField):
-        raise PolyError("distinct_root_count_fp needs an F_p polynomial")
-    if f.is_zero:
-        raise PolyError("zero polynomial")
-    if f.degree == 0:
-        return 0
-    x = UniPoly.x(F)
-    xp = _powmod(x, F.p, f)
-    return gcd(f, xp - x).degree
-
-
-def _powmod(base: UniPoly, n: int, mod: UniPoly) -> UniPoly:
-    out = UniPoly.const(base.field, 1)
-    base = base % mod
-    while n:
-        if n & 1:
-            out = (out * base) % mod
-        base = (base * base) % mod
-        n >>= 1
-    return out
+    """The number of distinct F_p-rational roots: deg gcd(f, x^p - x)."""
+    return len(_root_part(_fp_coeffs(f, "distinct_root_count_fp"), f.field.p)) - 1
 
 
 def roots_fp(f: UniPoly) -> dict[int, int]:
-    """All F_p-rational roots with multiplicities, by full scan (p <= 10**6)."""
-    F = f.field
-    if not isinstance(F, PrimeField):
-        raise PolyError("roots_fp needs an F_p polynomial")
-    if F.p > ROOT_SCAN_BOUND:
-        raise PolyError(f"p = {F.p} above the scan bound {ROOT_SCAN_BOUND}")
-    if f.is_zero:
-        raise PolyError("zero polynomial")
-    p = F.p
-    import numpy as np
+    """All F_p-rational roots with multiplicities, in ascending order.
 
-    xs = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in reversed(f.coeffs):
-        acc = (acc * xs + int(c)) % p
+    gcd(f, x^p - x) is split by equal-degree splitting seeded with
+    ``random.Random(0)``; the roots do not depend on the seed.  Each
+    multiplicity is counted by synthetic division."""
+    cs = _fp_coeffs(f, "roots_fp")
+    p = f.field.p
     out = {}
-    for r in np.nonzero(acc == 0)[0]:
-        r = int(r)
+    for r in sorted(_split(_root_part(cs, p), p, random.Random(0))):
         m = 0
-        g = f
-        while True:
-            q, rem = g.divmod(UniPoly(F, [-r, 1]))
-            if not rem.is_zero:
-                break
+        q, rem = _deflate(cs, r, p)
+        while not rem:
             m += 1
-            g = q
+            q, rem = _deflate(q, r, p)
         out[r] = m
     return out
+
+
+def _fp_coeffs(f: UniPoly, name: str) -> tuple[int, ...]:
+    if not isinstance(f.field, PrimeField):
+        raise PolyError(f"{name} needs an F_p polynomial")
+    if f.is_zero:
+        raise PolyError("zero polynomial")
+    return f.coeffs
+
+
+# ---------------------------------------------------------------------------
+# The raw-integer F_p core.  A polynomial is an ascending sequence of ints
+# in [0, p) without trailing zeros, [] being zero; the functions return lists.
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _rem(a: list, b: list, p: int) -> list:
+    """a mod b, for b nonzero; the remainder is reduced once, at the end."""
+    n = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    low = b[:-1]
+    r = list(a)
+    while len(r) > n:
+        c = r.pop() * inv % p
+        if c:
+            k = len(r) - n
+            r[k:] = [x - c * y for x, y in zip(r[k:], low)]
+    return _trim([x % p for x in r])
+
+
+def _gcd(a: list, b: list, p: int) -> list:
+    """The monic gcd; gcd(0, 0) = 0."""
+    while b:
+        a, b = b, _rem(a, b, p)
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
+    return a
+
+
+def _powmod(f: list, n: int, p: int, a: int = 0) -> list:
+    """(x + a)^n mod f, for f monic of degree d >= 1.
+
+    Kronecker substitution: a residue sum c_i x^i is the one integer
+    sum c_i 2^(k i), so a product of residues is one integer product,
+    whose k-bit slots are the coefficients.  Each step squares, reads the
+    2d - 1 slots mod p and folds them back through the packed table of
+    x^i mod f (of (x + a) x^i mod f when the bit of n is set).  The folded
+    residue is left unreduced: its coefficients stay below 2 d p^2, so a
+    square's stay below k bits."""
+    d = len(f) - 1
+    k = (4 * d**3 * p**4).bit_length() + 1
+    mask = (1 << k) - 1
+    shifts = range(0, k * (2 * d - 1), k)
+    slots = [1 << s for s in shifts]
+    # rows[i] = x^i mod f for i < 2d, as d coefficients.
+    rows = [[0] * i + [1] + [0] * (d - 1 - i) for i in range(d)]
+    t = [-c % p for c in f[:d]]
+    for _ in range(d):
+        rows.append(t)
+        t = [0] + t
+        top = t.pop()
+        if top:
+            t = [(x - top * c) % p for x, c in zip(t, f)]
+    table = slots[:d] + [sum(map(mul, row, slots)) for row in rows[d:]]
+    square = table[:-1]
+    step = table[1:]
+    if a:  # (x + a) x^i = x^(i + 1) + a x^i
+        step = [
+            sum(map(mul, [(u + a * v) % p for u, v in zip(hi, lo)], slots))
+            for lo, hi in zip(rows, rows[1:])
+        ]
+    r = 1
+    for bit in bin(n)[2:]:
+        r *= r
+        r = sum(map(mul, [(r >> s & mask) % p for s in shifts], step if bit == "1" else square))
+    return _trim([(r >> s & mask) % p for s in shifts[:d]])
+
+
+def _root_part(f: list, p: int) -> list:
+    """gcd(f, x^p - x): the monic product of x - r over the roots r of f."""
+    f = _gcd(f, [], p)  # f made monic
+    if len(f) < 2:
+        return [1]
+    h = _powmod(f, p, p) + [0, 0]
+    h[1] -= 1
+    return _gcd(f, _trim([c % p for c in h]), p)
+
+
+def _split(g: list, p: int, rng: random.Random) -> list[int]:
+    """The roots of g, a monic product of distinct linear factors.
+
+    Equal-degree splitting (Cantor and Zassenhaus, 1981): for a random a,
+    gcd(g, (x + a)^((p - 1)/2) - 1) is the product of the x - r with r + a a
+    nonzero square, a proper factor with probability about 1/2."""
+    if len(g) <= 2:
+        return [-g[0] % p] if len(g) == 2 else []
+    while True:
+        h = _powmod(g, (p - 1) // 2, p, rng.randrange(p))
+        h[0] = (h[0] - 1) % p
+        h = _gcd(g, _trim(h), p)
+        if 1 < len(h) < len(g):
+            roots = _split(h, p, rng)
+            for r in roots:  # g / h
+                g = _deflate(g, r, p)[0]
+            return roots + _split(g, p, rng)
+
+
+def _deflate(a: list, r: int, p: int) -> tuple[list, int]:
+    """(q, a(r)) with a = (x - r) q + a(r), by synthetic division."""
+    q = []
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * r + c) % p
+        q.append(acc)
+    rem = q.pop()
+    q.reverse()
+    return q, rem

@@ -28,7 +28,11 @@ class MonodromyError(ValueError):
 
 
 class Perm:
-    """A permutation of {0, ..., n-1} in one-line notation (internally 0-based)."""
+    """A permutation of {0, ..., n-1} in one-line notation (internally 0-based).
+
+    The constructor checks its images once, at the input boundary; the
+    permutations that products, inverses and induced actions build are
+    permutations by construction and skip the check (``_of``)."""
 
     __slots__ = ("images",)
 
@@ -39,8 +43,15 @@ class Perm:
         self.images = images
 
     @classmethod
+    def _of(cls, images: tuple) -> "Perm":
+        """The permutation with these images, unchecked."""
+        p = object.__new__(cls)
+        p.images = images
+        return p
+
+    @classmethod
     def identity(cls, n: int):
-        return cls(range(n))
+        return cls._of(tuple(range(n)))
 
     @classmethod
     def transposition(cls, n: int, i: int, j: int):
@@ -66,13 +77,13 @@ class Perm:
         """Left-to-right composition: (p * q)(i) = q(p(i))."""
         if other.n != self.n:
             raise MonodromyError("degree mismatch")
-        return Perm(tuple(other.images[x] for x in self.images))
+        return Perm._of(tuple([other.images[x] for x in self.images]))
 
     def inverse(self) -> "Perm":
         out = [0] * self.n
         for i, x in enumerate(self.images):
             out[x] = i
-        return Perm(out)
+        return Perm._of(tuple(out))
 
     def __eq__(self, other):
         return isinstance(other, Perm) and other.images == self.images
@@ -224,7 +235,7 @@ def _induced(
     p moves a member out of the system."""
     places = _PLACES[system]
     try:
-        return Perm([places[_moved(p.images, member)] for member in system])
+        return Perm._of(tuple([places[_moved(p.images, member)] for member in system]))
     except KeyError:
         raise MonodromyError(error) from None
 
@@ -294,8 +305,9 @@ def reverse(triple: HurwitzTuple, lift: HurwitzTuple) -> HurwitzTuple:
             raise MonodromyError(not_projecting)
         # Etale: the two vertices over a sheet are never glued along a cycle,
         # i.e. every cycle of p3 is covered by two cycles of equal length.
+        cycles6 = p6.cycles()
         for cyc in p3.cycles():
-            covering = [c for c in p6.cycles() if c[0] // 2 in cyc]
+            covering = [c for c in cycles6 if c[0] // 2 in cyc]
             lengths = sorted(len(c) for c in covering)
             if lengths != [len(cyc), len(cyc)]:
                 raise MonodromyError("lift is ramified over a branch point")

@@ -418,6 +418,34 @@ def test_fibration_halving_rejects_section_off_the_model(tmp_path, capsys):
     assert "does not lie on the model" in json.loads(out)["error"]["message"]
 
 
+def test_fibration_info_reports_nodal_points_over_a_large_prime(tmp_path, capsys):
+    # Root finding costs O(deg^2 log p) on residues, so p = 2^61 - 1 needs
+    # no bound: the nodal points are reported and agree with the count.
+    from cubesquare import fibration, jsonio
+    from cubesquare.fields import PrimeField
+    import random as _random
+
+    F = PrimeField(2**61 - 1)
+    w, _ = fibration.random_planted_model(F, _random.Random(0))
+    path = _write(tmp_path, "big_p.json", jsonio.model_to_json(w))
+    code, out = run_cli(capsys, "fibration-info", "--in", path)
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    points = payload["nodal_points_fp"]
+    assert len(points) == payload["distinct_nodal_roots_fp"] == 1
+    assert all(w.delta(x, y) == 0 and m == 1 for x, y, m in points)
+    # a = 0, b = y^3 (x - y)(x - 2y)(x + 3y): delta = 27 b^2, every root double
+    # and (1:0) of multiplicity 6.
+    p = F.p
+    b = _form({"kind": "Fp", "p": p}, "0", "0", "0", "1", "0", str(p - 7), "6")
+    a = _form({"kind": "Fp", "p": p}, *["0"] * 5)
+    code, out = run_cli(capsys, "fibration-info", "--in", _write(tmp_path, "cusps.json", {"a": a, "b": b}))
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["nodal_points_fp"] == [[1, 0, 6], [1, 1, 2], [2, 1, 2], [p - 3, 1, 2]]
+    assert payload["distinct_nodal_roots_fp"] == 4
+
+
 def test_z_search_orbits_are_decompose_fq_orbits(tmp_path, capsys):
     from cubesquare import jsonio, locusz
     from cubesquare.binform import BinForm
@@ -758,6 +786,9 @@ def test_picard_solve_rejects_malformed_integers(tmp_path, capsys, doc, prefix):
         ({"degree": 4, "perms": [[2, 1, 3.0, 4]]}, "tuple.perms[0][2]"),
         ({"degree": "x", "perms": [[2, 1, 3, 4]] * 2}, "tuple.degree"),
         ({"degree": 4.0, "perms": [[2, 1, 3, 4]] * 2}, "tuple.degree"),
+        # Not a permutation of 1..4: the one check, at the input boundary.
+        ({"degree": 4, "perms": [[2, 2, 3, 4]] * 2}, "tuple.perms[0]: not a permutation"),
+        ({"degree": 4, "perms": [[1, 2, 3, 4], [0, 1, 2, 3]]}, "tuple.perms[1]: not a permutation"),
     ],
 )
 def test_recillas_forward_rejects_malformed_integers(tmp_path, capsys, doc, prefix):

@@ -128,7 +128,7 @@ def test_make_with_section_examples():
         )
 
     w3, s3 = fibration.make_with_section(
-        UniPoly.const(QQ, 1),
+        UniPoly(QQ, [1]),
         UniPoly(QQ, [0, 0, 0, 1]),
         BinForm.monomial(QQ, 4, 4),  # a = t^4 in the affine chart
     )
@@ -149,7 +149,7 @@ def test_verify_section_rejects_perturbation():
 def test_halving_quartic_constant_example():
     # Y^2 = X^3 + 1, S = (2, 3): Phi = X^4 - 8X^3 - 8X - 8
     w, s = fibration.make_with_section(
-        UniPoly.const(QQ, 2), UniPoly.const(QQ, 3), BinForm.zero(QQ, 4)
+        UniPoly(QQ, [2]), UniPoly(QQ, [3]), BinForm.zero(QQ, 4)
     )
     fam = fibration.halving_quartic(w, s)
     phi = fam.specialize(1, 1)
@@ -162,7 +162,7 @@ def test_halving_quartic_guards():
         fibration.halving_quartic(w, Section.zero(QQ))
     # a two-torsion section: y identically zero
     w2, _ = fibration.make_with_section(
-        UniPoly.const(QQ, 2), UniPoly.const(QQ, 3), BinForm.zero(QQ, 4)
+        UniPoly(QQ, [2]), UniPoly(QQ, [3]), BinForm.zero(QQ, 4)
     )
     two_tor = Section(
         BinForm.monomial(QQ, 2, 0, -1), BinForm.constant(QQ, 1), BinForm.zero(QQ, 3)
@@ -175,7 +175,7 @@ def test_halving_quartic_guards():
 def test_halving_scan_oracle_small_field():
     # over F11 with the curve Y^2 = X^3 + 4: pick S by scan, order > 2
     w, s = fibration.make_with_section(
-        UniPoly.zero(F11), UniPoly.const(F11, 5), BinForm.monomial(F11, 4, 2, 1)
+        UniPoly.zero(F11), UniPoly(F11, [5]), BinForm.monomial(F11, 4, 2, 1)
     )
     assert fibration.verify_section(w, s)
     fam = fibration.halving_quartic(w, s)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cubesquare import poly as upoly
-from cubesquare.binform import BinForm
+from cubesquare.binform import CERTIFICATE_PRIME, BinForm
 from cubesquare.fields import QQ, PrimeField
 from cubesquare.poly import (
     PolyError,
@@ -30,7 +30,7 @@ def poly(field, *coeffs):
 
 
 def from_roots(field, roots, lc=1):
-    out = UniPoly.const(field, lc)
+    out = UniPoly(field, [lc])
     for r in roots:
         out = out * UniPoly(field, [field.neg(field.coerce(r)), 1])
     return out
@@ -48,11 +48,11 @@ def brute_resultant(f, g, roots_of_f, lc_f):
 
 
 def test_resultant_linear_examples():
-    x = UniPoly.x(QQ)
-    one = UniPoly.const(QQ, 1)
+    x = UniPoly(QQ, [0, 1])
+    one = UniPoly(QQ, [1])
     assert resultant(x - one, x + one) == 2
-    assert resultant(x * x - one, x - UniPoly.const(QQ, 2)) == 3
-    three = UniPoly.const(QQ, 3)
+    assert resultant(x * x - one, x - UniPoly(QQ, [2])) == 3
+    three = UniPoly(QQ, [3])
     assert resultant(three, x * x - one) == resultant(x * x - one, three) == 9
     assert resultant(three, three) == 1
 
@@ -108,7 +108,7 @@ def test_resultant_zero_iff_common_root():
 
 def test_resultant_rejects_zero():
     with pytest.raises(PolyError):
-        resultant(UniPoly.zero(QQ), UniPoly.x(QQ))
+        resultant(UniPoly.zero(QQ), UniPoly(QQ, [0, 1]))
 
 
 def test_discriminant_examples():
@@ -190,14 +190,103 @@ def test_distinct_root_count_examples():
     assert distinct_root_count_fp(poly(F5, 0, -1, 0, 1)) == 3  # x^3 - x
 
 
-def test_distinct_root_count_matches_scan():
+def unipoly_powmod(base, n, mod):
+    """base^n mod ``mod`` by square-and-multiply on ``UniPoly``: the
+    reference that the raw-integer core replaced."""
+    out = UniPoly(base.field, [1])
+    base = base % mod
+    while n:
+        if n & 1:
+            out = (out * base) % mod
+        base = (base * base) % mod
+        n >>= 1
+    return out
+
+
+def test_distinct_root_count_matches_unipoly_powmod():
     rng = random.Random(4)
-    for p in (5, 13, 101):
+    for p in (5, 13, 101, 1009, 2**61 - 1):
         F = PrimeField(p)
+        x = UniPoly(F, [0, 1])
         for _ in range(25):
             deg = rng.randint(1, 12)
-            f = UniPoly(F, [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
-            assert distinct_root_count_fp(f) == len(roots_fp(f))
+            roots = [rng.randrange(p) for _ in range(rng.randint(0, 3))]
+            f = from_roots(F, roots) * UniPoly(
+                F, [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+            )
+            assert distinct_root_count_fp(f) == gcd(f, unipoly_powmod(x, p, f) - x).degree
+
+
+def test_packed_powmod_matches_unipoly_powmod():
+    # The raw core's (x + a)^n mod f, degree 1 and the shift a included.
+    rng = random.Random(12)
+    for p in (5, 7, 1009, 2**31 - 1, 2**61 - 1):
+        F = PrimeField(p)
+        for deg in (1, 2, 5, 12):
+            f = [rng.randrange(p) for _ in range(deg)] + [1]
+            for n in (0, 1, 2, 3, p, (p - 1) // 2, rng.randrange(p * p)):
+                a = rng.choice([0, 1, rng.randrange(p)])
+                ref = unipoly_powmod(UniPoly(F, [a, 1]), n, UniPoly(F, f))
+                assert tuple(upoly._powmod(f, n, p, a)) == ref.coeffs, (p, f, n, a)
+
+
+def brute_roots(f):
+    """{r: multiplicity} by evaluating f at every r of F_p and dividing by
+    x - r with ``UniPoly.divmod`` while it divides."""
+    F = f.field
+    out = {}
+    for r in range(F.p):
+        m, g = 0, f
+        while g(r) == 0:
+            g = g.divmod(UniPoly(F, [F.neg(r), 1]))[0]
+            m += 1
+        if m:
+            out[r] = m
+    return out
+
+
+def test_roots_fp_matches_brute_force():
+    rng = random.Random(10)
+    for p in (5, 7, 11, 13, 101):
+        F = PrimeField(p)
+        x = UniPoly(F, [0, 1])
+        nonresidue = next(c for c in range(2, p) if F.legendre(c) == -1)
+        fixed = [
+            x ** p - x,  # every element of F_p, once
+            x * x - UniPoly(F, [nonresidue]),  # no root
+            from_roots(F, [1, 1, 1, 2, 2], lc=3),  # repeated roots
+            UniPoly(F, [4, 3]),  # degree 1
+            from_roots(F, [0, 0, 5]) * (x * x - UniPoly(F, [nonresidue])),  # a root at 0
+            UniPoly(F, [2]),  # no root, degree 0
+        ]
+        drawn = [
+            from_roots(F, [rng.randrange(p) for _ in range(rng.randint(0, 5))])
+            * UniPoly(F, [rng.randrange(p) for _ in range(rng.randint(0, 6))] + [rng.randrange(1, p)])
+            for _ in range(40)
+        ]
+        for f in fixed + drawn:
+            got = roots_fp(f)
+            assert got == brute_roots(f), (p, f)
+            assert list(got) == sorted(got)
+            assert distinct_root_count_fp(f) == len(got)
+        assert roots_fp(x ** p - x) == {r: 1 for r in range(p)}
+
+
+def test_root_set_does_not_depend_on_the_splitting_seed():
+    rng = random.Random(11)
+    for p in (7, 101, 1009):
+        F = PrimeField(p)
+        for _ in range(10):
+            roots = sorted(set(rng.sample(range(p), 6)))
+            f = from_roots(F, roots) * UniPoly(F, [rng.randrange(p) for _ in range(4)] + [1])
+            part = upoly._root_part(f.coeffs, p)
+            expected = sorted(brute_roots(f)) if p < 1009 else None
+            for seed in range(6):
+                found = sorted(upoly._split(part, p, random.Random(seed)))
+                assert found == sorted(roots_fp(f))
+                assert set(roots) <= set(found)
+                if expected is not None:
+                    assert found == expected
 
 
 def test_roots_fp_examples():
@@ -218,8 +307,8 @@ def test_roots_fp_multiplicities():
 
 
 def test_gcd_monic():
-    f = from_roots(QQ, [1, 2]) * UniPoly.const(QQ, 6)
-    g = from_roots(QQ, [2, 5]) * UniPoly.const(QQ, 10)
+    f = from_roots(QQ, [1, 2]) * UniPoly(QQ, [6])
+    g = from_roots(QQ, [2, 5]) * UniPoly(QQ, [10])
     assert gcd(f, g) == from_roots(QQ, [2])
 
 
@@ -232,12 +321,35 @@ def test_mixed_fields_rejected():
         poly(QQ, 1, 1) + poly(F7, 1, 1)
 
 
-def test_roots_fp_scan_bound():
-    big = PrimeField(1000003)  # just above the 10**6 scan bound
-    with pytest.raises(PolyError):
-        roots_fp(UniPoly(big, [1, 1]))
+def test_roots_fp_large_prime():
+    # One root finder for every p: no scan, so p above 10**6 works.
+    big = PrimeField(1000003)
+    f = from_roots(big, [3, 3, 999999, 0]) * poly(big, 1, 0, 1)  # x^2 + 1: no root, p = 3 mod 4
+    assert roots_fp(f) == {0: 1, 3: 2, 999999: 1}
+    assert distinct_root_count_fp(f) == 3
     with pytest.raises(PolyError):
         distinct_root_count_fp(poly(QQ, 1, 1))
+    with pytest.raises(PolyError):
+        roots_fp(poly(QQ, 1, 1))
+
+
+def test_fp_squarefree_matches_unipoly_gcd():
+    rng = random.Random(13)
+    for p in (5, 7, 13, 1009, CERTIFICATE_PRIME):
+        F = PrimeField(p)
+        x = UniPoly(F, [0, 1])
+        g = UniPoly(F, [rng.randrange(1, p), 1])
+        cases = [g ** 2 * x]  # a square factor
+        if p < 100:  # f' = 0, f = h(x^p): dense, so only at small p
+            xp = x ** p
+            cases += [xp + UniPoly(F, [1]), xp * xp + xp.scale(3) + UniPoly(F, [1])]
+        for _ in range(40):
+            f = UniPoly(F, [rng.randrange(p) for _ in range(rng.randint(0, 8))] + [rng.randrange(1, p)])
+            cases += [f, f * g, f * g * g]
+        for f in cases:
+            fp = f.derivative()
+            ref = f.degree == 0 or (not fp.is_zero and gcd(f, fp).degree == 0)
+            assert is_squarefree(f) == ref, (p, f)
 
 
 def _draw(rng, F, n):
@@ -282,7 +394,7 @@ def test_power_is_repeated_multiplication():
             d = rng.randint(0, 4)
             seq = _draw(rng, F, d + 1)
             f, a = UniPoly(F, seq), BinForm(F, d, seq)
-            raw, fn, an = [1], UniPoly.const(F, 1), BinForm.constant(F, 1)
+            raw, fn, an = [1], UniPoly(F, [1]), BinForm.constant(F, 1)
             for n in range(6):
                 assert upoly.power(seq, n) == raw
                 assert f ** n == fn and a ** n == an

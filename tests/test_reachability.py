@@ -132,6 +132,7 @@ REACHES = {
         "binform.is_squarefree",
         "binform.roots_fp",
         "poly.distinct_root_count_fp",
+        "poly._root_part",
         "families.to_b_point",
     ],
     "fibration-halving": [

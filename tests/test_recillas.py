@@ -37,6 +37,8 @@ def test_perm_basics():
     assert Perm([1, 2, 0, 3]).cycle_type() == (3, 1)
     with pytest.raises(MonodromyError):
         Perm([0, 0, 1, 2])
+    with pytest.raises(MonodromyError):
+        Perm([0, 0, 1])
 
 
 def test_tuple_product_enforced():

@@ -103,10 +103,12 @@ print(json.dumps(out))
 
 def test_a_fresh_interpreter_loads_numpy_only_where_it_is_used(tmp_path):
     small = _small_argvs(tmp_path)
-    over_q = PINNED_HALVING_INPUTS["Q"]
+    over_q, over_fp = PINNED_HALVING_INPUTS["Q"], PINNED_HALVING_INPUTS["F1009"]
     argvs = [
         ["fibration-info", "--in", _write(tmp_path, "q_model.json", over_q["model"])],
         ["fibration-halving", "--in", _write(tmp_path, "q_halving.json", over_q)],
+        ["fibration-info", "--in", _write(tmp_path, "fp_model.json", over_fp["model"])],
+        ["fibration-halving", "--in", _write(tmp_path, "fp_halving.json", over_fp)],
         small["e8-report"],
         small["picard-report"],
         small["picard-solve"],
