@@ -9,6 +9,7 @@ pure function of its arguments; field objects are safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 
@@ -142,6 +143,8 @@ class PrimeField:
         return hash(("Fp", self.p))
 
     def coerce(self, value) -> int:
+        if type(value) is int:
+            return value % self.p
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator divisible by {self.p}")
@@ -255,9 +258,16 @@ def field_from_json(obj: dict, where: str = "field"):
     elif isinstance(p, bool) or not isinstance(p, int):
         raise FieldError(f"{where}.p: expected an integer, got {type(p).__name__}")
     try:
-        return PrimeField(p)
+        return _prime_field(p)
     except FieldError as exc:
         raise FieldError(f"{where}.p: {exc}") from None
+
+
+@lru_cache(maxsize=64)
+def _prime_field(p: int) -> PrimeField:
+    """PrimeField(p), built and checked once per p for all decoded documents
+    (fields are stateless, so one object serves them all)."""
+    return PrimeField(p)
 
 
 def field_to_json(field) -> dict:

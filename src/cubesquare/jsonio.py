@@ -4,12 +4,27 @@ All exact integers travel as decimal strings (rationals as "num/den") so
 downstream tooling never truncates them at 53 bits.  Encoders emit plain
 dicts; ``dump_report`` serializes with sorted keys so identical inputs give
 byte-identical output.
+
+``dump_report`` writes exactly the bytes of ``json.dumps(report,
+sort_keys=True, indent=2) + "\\n"``, which the tests keep as its reference, by
+its own writer: on Python 3.11 the C encoder does not indent, so ``json``
+would run its pure-Python ``_iterencode`` for every report.  Keys are sorted
+as ``json`` sorts them, on the original key (int keys numerically), and then
+written as strings; strings go through ``json``'s own ASCII escaper; a list
+of ints, or of strings, is written with one ``join``.  ``inputs_digest`` is
+a SHA-256 by CPython's own module, so no command loads OpenSSL.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+
+try:
+    # CPython's own SHA-256.  hashlib's loads OpenSSL, about 3.5 MB resident
+    # in every process, to hash the few kB of input of each report.
+    from _sha256 import sha256
+except ImportError:  # renamed in CPython 3.12
+    from hashlib import sha256
 
 from .binform import BinForm
 from .families import BPoint, CubicFamily, QuarticFamily
@@ -189,7 +204,7 @@ def canonical_dumps(payload) -> str:
 
 
 def inputs_digest(*parts) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     for part in parts:
         h.update(canonical_dumps(part).encode())
         h.update(b"\x00")
@@ -209,5 +224,75 @@ def make_report(command: str, payload, digest_parts, status="ok", error=None) ->
     return report
 
 
+_escape = json.encoder.encode_basestring_ascii
+# How json writes a str and an int (a bool is neither here: its type is bool).
+_SCALARS = {str: _escape, int: int.__repr__}
+
+
+def _key(key) -> str:
+    """A dict key as ``json`` writes it: strings as they are, the constants
+    and numbers in their JSON spelling."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float) or key is None or key is True or key is False:
+        return json.dumps(key)
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write(value, newline: str, out: list) -> None:
+    """Append the indented JSON text of ``value`` to ``out``; ``newline`` is
+    a newline and the indent of the line ``value`` starts on."""
+    kind = type(value)
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        out.append(scalar(value))
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        if scalar is not None:  # all ints or all strings: one join
+            out.append(f"[{inner}{(',' + inner).join(map(scalar, value))}{newline}]")
+            return
+        out.append("[")
+        sep = inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        sep = inner
+        for key, item in sorted(value.items()):
+            out.append(f"{sep}{_escape(_key(key))}: ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif value is None or value is True or value is False or isinstance(value, float):
+        out.append(json.dumps(value))
+    elif isinstance(value, str):  # subclasses, written as json writes their base
+        out.append(_escape(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        _write(list(value), newline, out)
+    elif isinstance(value, dict):
+        _write(dict(value), newline, out)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def dump_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    out: list[str] = []
+    _write(report, "\n", out)
+    out.append("\n")
+    return "".join(out)

@@ -12,8 +12,20 @@ All four maps are induced actions on ordered set systems: a permutation of
 the sheets moves each member of a fixed, ordered tuple of sets of sheets (the
 pair-partitions, the 2-subsets, the opposite vertex pairs, the pairs of
 opposite faces), and ``_induced`` reads off where each member goes.  The
-orders of these tuples are the module's labeling conventions; round-trip
-correctness up to a global relabeling is the contract that matters.
+groups that act are finite and fixed, so each action is tabulated once, at
+import, from its definition ``_moved``: S4 (24 elements) on the
+pair-partitions and the 2-subsets, and the octahedral group (48 elements,
+built directly as a permutation of the three opposite vertex pairs times a
+flip in each pair, not by a search through S6) on the opposite vertices and
+faces.  A request's induced action is then one dict lookup; a permutation
+missing from a table does not preserve the system.  The orders of these
+tuples are the module's labeling conventions; round-trip correctness up to
+a global relabeling is the contract that matters.
+
+``HurwitzTuple`` checks its product by composing image tuples and its
+transitivity as the orbit of sheet 0; ``rh_genus`` counts cycles without
+building them.  ``_orbits_count`` (union-find) stays as the reference the
+tests compare the orbit check with.
 """
 
 from __future__ import annotations
@@ -132,17 +144,18 @@ class HurwitzTuple:
 
     def __init__(self, degree: int, perms):
         perms = tuple(perms)
-        for p in perms:
-            if p.n != degree:
-                raise MonodromyError("permutation degree mismatch")
-        prod_p = Perm.identity(degree)
-        for p in perms:
-            prod_p = prod_p * p
-        if not prod_p.is_identity():
+        images = [p.images for p in perms]
+        if any(len(im) != degree for im in images):
+            raise MonodromyError("permutation degree mismatch")
+        identity = tuple(range(degree))
+        product = identity
+        for im in images:
+            product = tuple([im[x] for x in product])
+        if product != identity:
             raise MonodromyError("tuple product is not the identity")
         self.degree = degree
         self.perms = perms
-        self._transitive = _orbits_count(degree, perms) == 1
+        self._transitive = degree > 0 and len(_orbit_of_0(images)) == degree
 
     @property
     def is_transitive(self) -> bool:
@@ -162,7 +175,21 @@ class HurwitzTuple:
         return HurwitzTuple(self.degree, [p.conjugate(g) for p in self.perms])
 
 
+def _orbit_of_0(images) -> set:
+    """The orbit of sheet 0 under the group the image tuples generate."""
+    orbit, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for im in images:
+            y = im[x]
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
 def _orbits_count(n: int, perms) -> int:
+    """The number of orbits, by union-find: the reference of ``_orbit_of_0``."""
     parent = list(range(n))
 
     def find(a):
@@ -179,12 +206,26 @@ def _orbits_count(n: int, perms) -> int:
     return len({find(i) for i in range(n)})
 
 
+def _cycle_count(images) -> int:
+    """The number of cycles of the permutation with these images."""
+    seen = [False] * len(images)
+    count = 0
+    for start in range(len(images)):
+        if not seen[start]:
+            count += 1
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                x = images[x]
+    return count
+
+
 def rh_genus(t: HurwitzTuple) -> int:
     """Genus from 2 - 2g = 2n - sum over entries of (n - #cycles)."""
     if not t.is_transitive:
         raise MonodromyError("genus undefined for a disconnected cover")
     n = t.degree
-    ram = sum(n - len(p.cycles()) for p in t.perms)
+    ram = sum(n - _cycle_count(p.images) for p in t.perms)
     chi = 2 * n - ram
     if chi % 2:
         raise MonodromyError("odd Euler characteristic; bad tuple")
@@ -215,11 +256,6 @@ _OPPOSITE_FACES = tuple(
     for y in (2, 3)
     for z in (4, 5)
 )
-# Each system's members with their places, built once.
-_PLACES = {
-    system: {member: k for k, member in enumerate(system)}
-    for system in (_PAIR_PARTITIONS, _TWO_SUBSETS, _OPPOSITE_VERTICES, _OPPOSITE_FACES)
-}
 
 
 def _moved(images, s: frozenset) -> frozenset:
@@ -227,15 +263,43 @@ def _moved(images, s: frozenset) -> frozenset:
     return frozenset(images[x] if type(x) is int else _moved(images, x) for x in s)
 
 
+def _action(system: tuple, group) -> dict:
+    """{images: the permutation they induce on the members of ``system``}
+    over ``group``, whose elements all preserve ``system``."""
+    places = {member: k for k, member in enumerate(system)}
+    return {
+        images: Perm._of(tuple([places[_moved(images, member)] for member in system]))
+        for images in group
+    }
+
+
+# The groups that act: S4 on the sheets, and on the octahedron's vertices the
+# 48 symmetries that keep opposite vertices opposite, each a permutation s of
+# the three opposite pairs times a flip f_i within each pair: 2i + b goes to
+# 2 s(i) + (b xor f_i).
+_S4 = list(permutations(range(4)))
+_OCTAHEDRAL = [
+    tuple(2 * s[v // 2] + (v % 2 ^ f[v // 2]) for v in range(6))
+    for s in permutations(range(3))
+    for f in product((0, 1), repeat=3)
+]
+# Each system's induced action, tabulated once at import.
+_TABLES = {
+    _PAIR_PARTITIONS: _action(_PAIR_PARTITIONS, _S4),
+    _TWO_SUBSETS: _action(_TWO_SUBSETS, _S4),
+    _OPPOSITE_VERTICES: _action(_OPPOSITE_VERTICES, _OCTAHEDRAL),
+    _OPPOSITE_FACES: _action(_OPPOSITE_FACES, _OCTAHEDRAL),
+}
+
+
 def _induced(
     p: Perm, system: tuple, error: str = "permutation does not preserve the set system"
 ) -> Perm:
     """The permutation p induces on the members of a fixed, ordered system
-    of sets of sheets (or of sets of such sets); MonodromyError(error) when
-    p moves a member out of the system."""
-    places = _PLACES[system]
+    of sets of sheets (or of sets of such sets), read from its table;
+    MonodromyError(error) when p moves a member out of the system."""
     try:
-        return Perm._of(tuple([places[_moved(p.images, member)] for member in system]))
+        return _TABLES[system][p.images]
     except KeyError:
         raise MonodromyError(error) from None
 
@@ -258,9 +322,15 @@ def forward(t: HurwitzTuple) -> tuple[HurwitzTuple, HurwitzTuple]:
     """Quadruple cover -> (triple cover, its unramified double cover).
 
     Input entries must all be transpositions (simple branching) and the
-    tuple transitive.  The triple image must again be transitive and
-    consists of transpositions over the same branch points; the degree-6
-    tuple is the etale double cover, certified by 2-2g_S = 2(2-2g_C).
+    tuple transitive; those are input errors (MonodromyError).  A transitive
+    subgroup of S4 generated by transpositions is S4 itself, so the rest
+    follows: a transposition of the sheets swaps two pair-partitions and
+    fixes the third, so the triple image consists of transpositions over
+    the same branch points and generates S3, which is transitive; S4 is
+    transitive on the 2-subsets, so the degree-6 tuple is connected; and a
+    transposition fixes two 2-subsets and swaps the other four in two pairs,
+    so 2 - 2g_S = 2(2 - 2g_C) and the double cover is etale.  A failure of
+    these checks is a bug in the tables, not bad input: ArithmeticError.
     """
     if t.degree != 4:
         raise MonodromyError("forward needs a tuple on 4 sheets")
@@ -271,14 +341,14 @@ def forward(t: HurwitzTuple) -> tuple[HurwitzTuple, HurwitzTuple]:
     triple = HurwitzTuple(3, [s4_to_s3(p) for p in t.perms])
     sextic = HurwitzTuple(6, [s4_to_s6(p) for p in t.perms])
     if not all(p.is_transposition() for p in triple.perms):
-        raise MonodromyError("triple image not simply branched")
+        raise ArithmeticError("triple image not simply branched")
     if not triple.is_transitive:
-        raise MonodromyError("triple image not transitive")
+        raise ArithmeticError("triple image not transitive")
     if not sextic.is_transitive:
-        raise MonodromyError("double cover disconnected")
+        raise ArithmeticError("double cover disconnected")
     g_c, g_s = rh_genus(triple), rh_genus(sextic)
     if 2 - 2 * g_s != 2 * (2 - 2 * g_c):
-        raise MonodromyError("double cover is not etale (Euler characteristic)")
+        raise ArithmeticError("double cover is not etale (Euler characteristic)")
     return triple, sextic
 
 

@@ -337,6 +337,9 @@ def criterion_locus(plants: int = 100, seed: int = 1):
 def criterion_registry():
     reg = locusz.constants_registry()
     odd, even = e8.theta_char_counts(4)
+    census = e8.mod2_census()
+    covers = census["odd_classes"] + census["even_classes"]
+    weyl = e8.weyl_order()
     checks = {
         "deg_Z": reg["deg_Z"]["value"] == 3762,
         "covering_degrees": reg["covering_degrees"]["value"] == {"C": 120, "D": 135},
@@ -346,13 +349,12 @@ def criterion_registry():
             for v in reg.values()
         ),
         # consistency shadows
-        "shadow_mod2": e8.mod2_census()["odd_classes"] == 120
-        and e8.mod2_census()["even_classes"] == 135,
-        "shadow_256": 1 + 120 + 135 == 256,
-        "shadow_255": 120 + 135 == reg["covers_255"]["value"],
+        "shadow_mod2": (census["odd_classes"], census["even_classes"]) == (120, 135),
+        "shadow_256": census["zero"] + covers == 256,
+        "shadow_255": covers == reg["covers_255"]["value"],
         "shadow_theta": (odd, even) == (120, 136),
-        "shadow_weyl_quotient": reg["weyl"]["value"] // (math.factorial(8) * 2**7)
-        == 135,
+        "shadow_weyl_quotient": weyl == reg["weyl"]["value"]
+        and weyl // (math.factorial(8) * 2**7) == 135,
     }
     return all(checks.values()), {"checks": checks}
 

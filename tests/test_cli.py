@@ -1006,3 +1006,58 @@ def test_mutated_input_documents_exit_0_1_or_2_with_one_report(tmp_path, capsys,
                 report = json.loads(captured.out)
                 assert report["status"] == ("ok" if code == 0 else "error"), (argv[0], mutant)
                 assert captured.err == "", (argv[0], mutant)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["z-search", "--F", "x.json", "--jobs", "x"],
+        ["no-such-command"],
+        ["fibration-info"],
+        ["selftest", "--inject-fault"],
+        [],
+        ["recillas-reverse", "--triple", "t.json"],
+        ["recillas-forward", "--in"],
+        ["z-search", "--F", "x.json", "stray", "--bogus", "-q"],
+        ["picard-report", "--", "--out"],
+        ["-x", "e8-report"],
+        ["--", "e8-report", "--out"],
+    ],
+)
+def test_the_direct_parse_reports_what_the_top_level_parser_reports(capsys, monkeypatch, argv):
+    code = main(list(argv))
+    direct = capsys.readouterr()
+    monkeypatch.setattr(cli, "parse_command_line", cli.PARSER.parse_args)
+    reference_code = main(list(argv))
+    reference = capsys.readouterr()
+    assert (code, direct.out, direct.err) == (reference_code, reference.out, reference.err)
+    assert code == 2
+
+
+def test_the_direct_parse_gives_the_top_level_namespace():
+    for argv in (
+        ["z-search", "--F", "x.json", "--jobs", "3"],
+        ["recillas-selftest"],
+        ["recillas-reverse", "--lift", "l.json", "--triple", "t.json", "--out", "o.json"],
+    ):
+        assert cli.parse_command_line(argv) == cli.PARSER.parse_args(argv)
+
+
+@pytest.mark.parametrize(
+    "system, message",
+    [("_PAIR_PARTITIONS", "triple image not simply branched"), ("_TWO_SUBSETS", "double cover disconnected")],
+)
+def test_forward_through_a_wrong_table_exits_3(tmp_path, capsys, monkeypatch, system, message):
+    # forward's checks on its images are invariants of the tables, not input
+    # errors: a table that sends every sheet permutation to the identity (a
+    # homomorphism, so the products still close up) is a bug in the program.
+    from cubesquare import jsonio, recillas
+
+    key = getattr(recillas, system)
+    table = recillas._TABLES[key]
+    identity = recillas.Perm.identity(len(key))
+    monkeypatch.setitem(recillas._TABLES, key, dict.fromkeys(table, identity))
+    doc = jsonio.tuple_to_json(recillas.random_tuple(4, 12, seed=3))
+    code, out = run_cli(capsys, "recillas-forward", "--in", _write(tmp_path, "t.json", doc))
+    assert code == cli.EXIT_INTERNAL == 3
+    assert json.loads(out)["error"] == {"code": 3, "message": f"internal error: ArithmeticError: {message}"}

@@ -1,6 +1,8 @@
 import pytest
 from fractions import Fraction
+from math import isqrt, prod
 
+from cubesquare import fields
 from cubesquare.fields import QQ, FieldError, PrimeField, field_from_json, is_prime
 
 
@@ -87,3 +89,60 @@ def test_rationals_coerce_returns_a_fraction_as_it_is():
     assert QQ.coerce(x) is x
     assert QQ.coerce(5) == Fraction(5) and type(QQ.coerce(5)) is Fraction
     assert QQ.coerce("1/2") == Fraction(1, 2)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division_below_10_4():
+    assert [n for n in range(10**4) if is_prime(n)] == [n for n in range(10**4) if _trial_division(n)]
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+
+# The least strong pseudoprime to the first k prime bases (OEIS A014233),
+# with its factors, for k = 1..9; k = 7 and k = 8 share theirs.
+STRONG_PSEUDOPRIMES = [
+    (1, (23, 89)),
+    (2, (829, 1657)),
+    (3, (2251, 11251)),
+    (4, (151, 751, 28351)),
+    (5, (6763, 10627, 29947)),
+    (6, (1303, 16927, 157543)),
+    (8, (10670053, 32010157)),
+    (9, (149491, 747451, 34233211)),
+]
+
+
+def test_is_prime_rejects_the_strong_pseudoprimes_to_the_first_witnesses():
+    for k, factors in STRONG_PSEUDOPRIMES:
+        n = prod(factors)
+        assert all(_strong_probable_prime(n, a) for a in fields._MR_WITNESSES[:k]), n
+        assert not is_prime(n)
+
+
+def test_field_from_json_checks_each_prime_once(monkeypatch):
+    fields._prime_field.cache_clear()
+    calls = []
+    check = fields.is_prime
+    monkeypatch.setattr(fields, "is_prime", lambda n: calls.append(n) or check(n))
+    first = field_from_json({"kind": "Fp", "p": 1009})
+    assert field_from_json({"kind": "Fp", "p": "1009"}) is first
+    assert field_from_json({"kind": "Fp", "p": 1013}) == PrimeField(1013)
+    assert calls == [1009, 1013, 1013]  # the last from PrimeField(1013) itself
+    with pytest.raises(FieldError, match="not prime"):
+        field_from_json({"kind": "Fp", "p": 1007})
+    fields._prime_field.cache_clear()
+
+
+def test_prime_field_coerce_of_int_fraction_and_bool():
+    F = PrimeField(7)
+    assert [F.coerce(v) for v in (-1, 7, 10**30, True)] == [6, 0, 10**30 % 7, 1]
+    assert F.coerce(Fraction(1, 3)) == 5

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -107,3 +109,81 @@ def test_reports_are_deterministic():
     # digest changes when inputs change
     r3 = jsonio.make_report("cmd", payload, [{"b": 2, "a": [3, 2]}])
     assert r3["inputs_digest"] != r1["inputs_digest"]
+
+
+class Label(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class UserList(list):
+    pass
+
+
+def _json_reference(report):
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        {},
+        [],
+        {"empty_list": [], "empty_object": {}, "nested": [[], {}, [[]], {"a": {}}]},
+        {"deep": [[[[[{"x": [1, [2, [3, (4, 5)]]]}]]]]], "tuple": (1, "a", (None, True))},
+        {"text": "schééma ☃ \U0001f600", "surrogate": "\ud800x\udfff", "ctl": "a\"b\\c\n\t\x00"},
+        {"big": [-(10**40), 10**40, -1, 0], "alone": -(2**63) - 1},
+        {"strings": ["1", "-2/3", "é", "\ud800"], "mixed": ["1", 1, None, "1"]},
+        {10: "ten", 9: "nine", -1: [True, False, None]},
+        {"b": True, "a": None, "c": False, "d": [True, 1, None, 0]},
+        {"float": [1.5, -0.0, 1e300, float("inf"), float("nan")], "keys": {2.5: 1, 1: 2}},
+        {"true": {True: 2, False: 3}, "null": {None: 1}},
+        "a lone string",
+        -17,
+        {"subclasses": OrderedDict(b=Label("é"), a=[Count(3), Count(-4)]), "userlist": UserList([1])},
+    ],
+)
+def test_dump_report_writes_the_bytes_of_json_dumps(report):
+    assert jsonio.dump_report(report) == _json_reference(report)
+
+
+def test_dump_report_matches_json_dumps_on_a_random_report():
+    rng = random.Random(26)
+
+    def value(depth):
+        kind = rng.randrange(7 if depth < 4 else 4)
+        if kind == 0:
+            return rng.randrange(-(10**20), 10**20)
+        if kind == 1:
+            codes = [rng.choice([rng.randrange(32, 127), rng.randrange(0x80, 0x3000)]) for _ in range(5)]
+            return "".join(map(chr, codes))
+        if kind == 2:
+            return rng.choice([None, True, False])
+        if kind == 3:
+            return [rng.randrange(-9, 9) for _ in range(rng.randrange(4))]
+        if kind == 4:
+            return [value(depth + 1) for _ in range(rng.randrange(4))]
+        if kind == 5:
+            return tuple(value(depth + 1) for _ in range(rng.randrange(3)))
+        return {f"k{rng.randrange(30)}": value(depth + 1) for _ in range(rng.randrange(5))}
+
+    for _ in range(200):
+        report = {"payload": value(0), "status": "ok"}
+        assert jsonio.dump_report(report) == _json_reference(report)
+
+
+def test_dump_report_rejects_what_json_rejects():
+    for report in ({"x": object()}, {(1, 2): 1}, {1: "a", "b": 2}):
+        with pytest.raises(TypeError):
+            _json_reference(report)
+        with pytest.raises(TypeError):
+            jsonio.dump_report(report)
+
+
+def test_inputs_digest_is_the_sha256_of_the_canonical_parts():
+    parts = [{"b": [1, "é"], "a": None}, 7, "x"]
+    expected = hashlib.sha256(b"".join(jsonio.canonical_dumps(p).encode() + b"\x00" for p in parts))
+    assert jsonio.inputs_digest(*parts) == expected.hexdigest()

@@ -53,6 +53,9 @@ KEPT = {
     "picard.Constraint.satisfied": "test oracle: checks picard-solve's solutions",
     "recillas.HurwitzTuple.conjugate": "test oracle: checks what roundtrip_check returns",
     "recillas.Perm.cycle_type": "test oracle: checks the images of s4_to_s6",
+    "recillas._orbits_count": "reference: union-find orbit count, of HurwitzTuple's orbit of sheet 0",
+    "recillas._moved": "runs at import: builds the induced-action tables; the reference the tests compare them with",
+    "recillas._action": "runs at import: tabulates each set system's induced action once",
     "families.BPoint.is_valid": "test oracle: checks the nodal verdict of fibration-info",
     "families.u_invariants_quartic": "reference: the Fraction route to delta12_quartic's integer covariants",
     "families.u_invariants_cubic": "reference: the Fraction route to delta12_cubic's integer covariants",

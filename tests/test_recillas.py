@@ -359,3 +359,68 @@ def test_genus_triple_helper():
     t = random_tuple(4, 12, seed=9)
     g = roundtrip_check(t)
     assert isinstance(g, Perm)
+
+
+def _moved_action(images, system):
+    """The induced images by the reference ``_moved``, or None when a member
+    leaves the system."""
+    places = {member: k for k, member in enumerate(system)}
+    moved = [recillas._moved(images, member) for member in system]
+    return tuple(places[m] for m in moved) if all(m in places for m in moved) else None
+
+
+def test_induced_tables_match_moved_over_s4_and_s6():
+    for system in (recillas._PAIR_PARTITIONS, recillas._TWO_SUBSETS):
+        for p in S4:
+            assert recillas._induced(p, system).images == _moved_action(p.images, system)
+    preserving = 0
+    for images in itertools.permutations(range(6)):
+        p6 = Perm(images)
+        for system in (recillas._OPPOSITE_VERTICES, recillas._OPPOSITE_FACES):
+            expected = _moved_action(images, system)
+            if expected is None:
+                with pytest.raises(MonodromyError, match="^the caller's message$"):
+                    recillas._induced(p6, system, "the caller's message")
+            else:
+                assert recillas._induced(p6, system).images == expected
+                preserving += 1
+    assert preserving == 2 * 48
+
+
+def _block_perm(rng, n, split):
+    """A random permutation of 0..n-1 that keeps {0..split-1} in place as a set."""
+    low, high = list(range(split)), list(range(split, n))
+    rng.shuffle(low)
+    rng.shuffle(high)
+    return Perm(low + high)
+
+
+def test_tuple_checks_match_union_find_and_perm_products():
+    rng = random.Random(26)
+    verdicts = set()
+    for _ in range(800):
+        n = rng.randrange(1, 8)
+        split = rng.choice([n, rng.randrange(1, n + 1)])  # split < n: disconnected
+        draws = [_block_perm(rng, n, split) for _ in range(rng.randrange(5))]
+        product = Perm.identity(n)
+        for p in draws:
+            product = product * p
+        closed = draws + [product.inverse()]
+        t = HurwitzTuple(n, closed)
+        assert t.is_transitive == (recillas._orbits_count(n, closed) == 1)
+        verdicts.add(t.is_transitive)
+        if product.is_identity():
+            assert HurwitzTuple(n, draws).perms == tuple(draws)
+        else:
+            with pytest.raises(MonodromyError, match="product is not the identity"):
+                HurwitzTuple(n, draws)
+    assert verdicts == {True, False}
+    for k in range(6):  # connected degree-6 tuples, from forward
+        _, sextic = forward(random_tuple(4, 12, seed=k))
+        assert sextic.is_transitive and recillas._orbits_count(6, sextic.perms) == 1
+
+
+def test_cycle_count_matches_cycles():
+    for images in itertools.permutations(range(5)):
+        assert recillas._cycle_count(images) == len(Perm(images).cycles())
+    assert recillas._cycle_count(()) == 0

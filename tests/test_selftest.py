@@ -3,13 +3,14 @@
 The planted pairs are the first plant of ``criterion_locus`` at seed 1 (one
 orbit) and its first plant with extra orbits (two of them).  The verdict
 helpers are pure, so faults are injected into the orbit lists they judge.
-The last tests check that ``run_all`` runs the trial count it is given and
-that criterion 4 draws only the models it is asked for.
+Further tests check that ``run_all`` runs the trial count it is given, that
+criterion 4 draws only the models it is asked for, and that the registry's
+consistency shadows compare computed values, so that each can fail.
 """
 
 import pytest
 
-from cubesquare import fibration, locusz, selftest
+from cubesquare import e8, fibration, locusz, selftest
 from cubesquare.binform import BinForm
 from cubesquare.fields import PrimeField
 
@@ -125,3 +126,15 @@ def test_small_fibration_suite_draws_fewer_models(monkeypatch):
     assert drawn == {"nodal": 3, "planted": 2}
     assert res["passed"]
     assert res["details"]["checks"] == {"branch_locus_3": True, "halving_2": True, "delta12_divisible_2": True}
+
+
+def test_registry_shadows_compare_computed_values(monkeypatch):
+    assert selftest.criterion_registry()["passed"]
+    census = dict(e8.mod2_census())
+    monkeypatch.setattr(e8, "mod2_census", lambda: dict(census, even_classes=134))
+    checks = selftest.criterion_registry()["details"]["checks"]
+    assert [name for name, ok in checks.items() if not ok] == ["shadow_mod2", "shadow_256", "shadow_255"]
+    monkeypatch.undo()
+    monkeypatch.setattr(e8, "weyl_order", lambda: 696729600 * 2)
+    checks = selftest.criterion_registry()["details"]["checks"]
+    assert [name for name, ok in checks.items() if not ok] == ["shadow_weyl_quotient"]

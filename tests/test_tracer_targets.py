@@ -97,6 +97,7 @@ out["unresolved"] = [
 ]
 out["targets"] = len(targets)
 out["numpy_after_resolving"] = "numpy" in sys.modules
+out["openssl_loaded"] = "_hashlib" in sys.modules
 print(json.dumps(out))
 """
 
@@ -127,3 +128,5 @@ def test_a_fresh_interpreter_loads_numpy_only_where_it_is_used(tmp_path):
     assert out["targets"] and out["unresolved"] == []
     # Resolving the kernel's spans is what loads it.
     assert out["numpy_after_resolving"] is True
+    # Report digests use CPython's own SHA-256, so OpenSSL is never mapped.
+    assert out["openssl_loaded"] is (sys.version_info >= (3, 12))
