@@ -216,14 +216,14 @@ def cmd_fibration_halving(args):
 def cmd_recillas_forward(args):
     doc = _load_json(args.infile, "recillas-forward --in")
     t = jsonio.tuple_from_json(doc)
-    triple, sextic = recillas.forward(t)
+    triple, sextic, (g_triple, g_sextic) = recillas.forward(t, genera=True)
     payload = {
         "triple": jsonio.tuple_to_json(triple),
         "sextic": jsonio.tuple_to_json(sextic),
         "genera": {
             "quadruple": recillas.rh_genus(t),
-            "triple": recillas.rh_genus(triple),
-            "sextic": recillas.rh_genus(sextic),
+            "triple": g_triple,
+            "sextic": g_sextic,
         },
     }
     yield payload, [doc], None

@@ -15,11 +15,15 @@ that is exactly the condition making u2 and u3 homogeneous.  Profiles:
 * cubic  ``E``: q0 = 1, deg q_i = 2i   (cubic surface on a quadric cone)
 
 The discriminant forms are computed in integers, over Q and F_p alike.
-With D a common denominator of the coefficient forms and lambda = 3D, the
-weighting (u2, u3) -> (lambda^2 u2, lambda^3 u3) makes both covariants integer
-forms U, V, and 4 u2^3 + 27 u3^2 = (4 U^3 + 27 V^2) / lambda^6 with one
-division at the end (``weierstrass_discriminant``).  The Fraction covariants
-``u_invariants_quartic`` and ``u_invariants_cubic`` stay as the reference.
+Each coefficient form is its integer numerators over one denominator
+(``binform``), so D, the least common multiple of those denominators, is
+read off the forms.  With lambda = 3D, the weighting (u2, u3) ->
+(lambda^2 u2, lambda^3 u3) makes both covariants integer forms U, V, and
+4 u2^3 + 27 u3^2 = (4 U^3 + 27 V^2) / lambda^6: the numerators 4 U^3 + 27 V^2
+over the denominator lambda^6, normalized once (``weierstrass_discriminant``).
+The unweighted covariants ``u_invariants_quartic`` and
+``u_invariants_cubic``, with their coefficients 1/3, 8/3 and 2/27, stay as
+the reference.
 
 The combination differs from the root-difference-product discriminant by a
 global constant per degree whose value is never assumed: it is measured by
@@ -93,7 +97,7 @@ class CubicFamily:
         if profile == "E":
             if (self.base_degree, self.step) != (0, 2):
                 raise PolyError("E profile needs deg q_i = 2i")
-            if q0.coeffs != (self.field.one(),):
+            if q0 != BinForm.constant(self.field, 1):
                 raise PolyError("E profile needs q0 = 1")
         self.profile = profile
 
@@ -117,9 +121,9 @@ class Cleared(NamedTuple):
 
 def _numerators(forms):
     """(D, [D f for f in forms]) with D the least common denominator of the
-    coefficients (1 over F_p), each D f as raw integers."""
-    D = math.lcm(*(c.denominator for f in forms for c in f.coeffs))
-    return D, [[c.numerator * (D // c.denominator) for c in f.coeffs] for f in forms]
+    forms (1 over F_p), each D f as raw integers."""
+    D = math.lcm(*[f.den for f in forms])
+    return D, [[n * (D // f.den) for n in f.nums] for f in forms]
 
 
 def _combine(*terms):
@@ -146,10 +150,7 @@ def weierstrass_discriminant(u, v) -> BinForm:
     if 3 * (len(U) - 1) != 2 * (len(V) - 1):
         raise PolyError(f"need 3 deg u = 2 deg v, got degrees {len(U) - 1} and {len(V) - 1}")
     raw = _combine((4, poly.power(U, 3)), (27, poly.convolve(V, V)))
-    if lam != 1:
-        scale = F.inv(F.coerce(lam**6))
-        raw = [c * scale for c in raw]
-    return BinForm(F, len(raw) - 1, raw)
+    return BinForm.from_numerators(F, len(raw) - 1, raw, lam**6)
 
 
 def delta12_quartic(fam: QuarticFamily) -> BinForm:
@@ -162,7 +163,7 @@ def delta12_quartic(fam: QuarticFamily) -> BinForm:
         V = 27 D^3 u3 = 27 P1^2 P4 + 27 P0 P3^2 - 72 P0 P2 P4 - 9 P1 P2 P3 + 2 P2^3
 
     and the form is (4 U^3 + 27 V^2) / (3D)^6.  ``u_invariants_quartic`` is
-    the Fraction reference.
+    the unweighted reference.
     """
     D, (P0, P1, P2, P3, P4) = _numerators(fam.p)
     conv = poly.convolve
@@ -188,7 +189,7 @@ def delta12_cubic(fam: CubicFamily) -> BinForm:
 
     The division by q0^2 is exact identically in the coefficients; a
     remainder signals an implementation bug, not bad input.
-    ``u_invariants_cubic`` is the Fraction reference.
+    ``u_invariants_cubic`` is the unweighted reference.
     """
     q0 = fam.q[0]
     if q0.is_zero:
@@ -208,35 +209,27 @@ def delta12_cubic(fam: CubicFamily) -> BinForm:
 
 
 def u_invariants_quartic(fam: QuarticFamily):
-    """The Fraction reference for the integer covariants of ``delta12_quartic``:
+    """The unweighted reference for the integer covariants of ``delta12_quartic``:
     u2 = p1 p3 - 4 p0 p4 - p2^2/3;
     u3 = p1^2 p4 + p0 p3^2 - 8 p0 p2 p4/3 - p1 p2 p3/3 + 2 p2^3/27."""
-    F = fam.field
     p0, p1, p2, p3, p4 = fam.p
-    third = F.div(F.one(), F.coerce(3))
-    u2 = p1 * p3 - (p0 * p4).scale(4) - (p2 * p2).scale(third)
+    u2 = p1 * p3 - (p0 * p4).scale(4) - (p2 * p2).scale(1, 3)
     u3 = (
         p1 * p1 * p4
         + p0 * p3 * p3
-        - (p0 * p2 * p4).scale(F.mul(F.coerce(8), third))
-        - (p1 * p2 * p3).scale(third)
-        + (p2 * p2 * p2).scale(F.div(F.coerce(2), F.coerce(27)))
+        - (p0 * p2 * p4).scale(8, 3)
+        - (p1 * p2 * p3).scale(1, 3)
+        + (p2 * p2 * p2).scale(2, 27)
     )
     return u2, u3
 
 
 def u_invariants_cubic(fam: CubicFamily):
-    """The Fraction reference for the integer covariants of ``delta12_cubic``:
+    """The unweighted reference for the integer covariants of ``delta12_cubic``:
     u2 = q0 q2 - q1^2/3;  u3 = q0^2 q3 - q0 q1 q2/3 + 2 q1^3/27."""
-    F = fam.field
     q0, q1, q2, q3 = fam.q
-    third = F.div(F.one(), F.coerce(3))
-    u2 = q0 * q2 - (q1 * q1).scale(third)
-    u3 = (
-        q0 * q0 * q3
-        - (q0 * q1 * q2).scale(third)
-        + (q1 * q1 * q1).scale(F.div(F.coerce(2), F.coerce(27)))
-    )
+    u2 = q0 * q2 - (q1 * q1).scale(1, 3)
+    u3 = q0 * q0 * q3 - (q0 * q1 * q2).scale(1, 3) + (q1 * q1 * q1).scale(2, 27)
     return u2, u3
 
 
@@ -313,12 +306,9 @@ class BPoint:
     def convert(self, normalization: str) -> "BPoint":
         if normalization == self.normalization:
             return self
-        F = self.field
         if normalization == "weierstrass":
             return BPoint(self.f.scale(3), self.g.scale(2), "weierstrass")
-        third = F.div(F.one(), F.coerce(3))
-        half = F.div(F.one(), F.coerce(2))
-        return BPoint(self.f.scale(third), self.g.scale(half), "monic")
+        return BPoint(self.f.scale(1, 3), self.g.scale(1, 2), "monic")
 
     def __eq__(self, other):
         return (

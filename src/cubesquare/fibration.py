@@ -151,7 +151,9 @@ class Section:
 
 
 def verify_section(w: WModel, s: Section) -> bool:
-    """Exact check of y^2 = x^3 + a x + b after clearing denominators."""
+    """Exact check of y^2 = x^3 + a x + b after clearing denominators: both
+    sides are normalized forms, so they are equal when their integer
+    numerators and denominators are."""
     if s.is_zero:
         return True
     if s.field != w.field:
@@ -159,9 +161,7 @@ def verify_section(w: WModel, s: Section) -> bool:
     p, d, y = s.x_num, s.x_den_sqrt, s.y_num
     d2 = d * d
     d4 = d2 * d2
-    lhs = y * y
-    rhs = p ** 3 + (w.a * p * d4) + (w.b * d4 * d2)
-    return (lhs - rhs).is_zero
+    return y * y == p ** 3 + (w.a * p * d4) + (w.b * d4 * d2)
 
 
 def _lies_on(w: WModel, s: Section) -> bool:
@@ -350,9 +350,9 @@ def section_value(s: Section, at: tuple[int, int]) -> FiberPoint:
     dv = s.x_den_sqrt(x0, y0)
     if F.is_zero(dv):
         return FiberPoint.infinity()
-    inv2 = F.inv(F.mul(dv, dv))
-    x = F.mul(s.x_num(x0, y0), inv2)
-    y = F.mul(s.y_num(x0, y0), F.mul(inv2, F.inv(dv)))
+    inv2 = F.inv(dv * dv)
+    x = s.x_num(x0, y0) * inv2 % F.p
+    y = s.y_num(x0, y0) * inv2 * F.inv(dv) % F.p
     return FiberPoint(x, y)
 
 

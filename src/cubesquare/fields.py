@@ -4,13 +4,28 @@ Field objects are stateless tags.  Elements are plain Python values
 (``Fraction`` over Q, ``int`` in ``[0, p)`` over F_p), so containers such as
 polynomials hold raw values and carry one field tag.  Every operation is a
 pure function of its arguments; field objects are safe to share.
+
+A binary form (``binform``) stores integer numerators over one denominator
+instead of elements.  ``normalize`` puts such a pair in its one canonical
+form: over Q a positive denominator in lowest terms with the numerators, over
+F_p the residues over 1.  ``parse`` reads "n" or "n/d" into a (numerator,
+denominator) pair and ``format`` writes one back, both without a
+``Fraction`` over Q unless a coefficient is spelled some other way ("0.5").
+``ZZ`` tags integer polynomials: by Gauss's lemma ``binform`` takes a square
+root over Q in Z[x].  It is a ring for ``UniPoly``, not a field.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
+from operator import index
+
+# "n" and "n/d" in decimal digits, the spellings that ``Rationals.parse``
+# reads without a Fraction.
+_RATIO = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+))?")
 
 
 class FieldError(ValueError):
@@ -65,17 +80,26 @@ class Rationals:
     def coerce(self, value) -> Fraction:
         return value if type(value) is Fraction else Fraction(value)
 
+    def ratio(self, value) -> tuple[int, int]:
+        """(numerator, denominator) of a value that ``coerce`` accepts."""
+        if type(value) is not int:
+            value = self.coerce(value)
+        return value.numerator, value.denominator
+
+    def normalize(self, nums, den: int) -> tuple[tuple, int]:
+        """The form nums / den as (numerators, positive denominator) with
+        gcd(den, nums) = 1."""
+        if den == 1:
+            return tuple(nums), 1
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        return tuple([n // g for n in nums]), den // g
+
     def zero(self) -> Fraction:
         return Fraction(0)
-
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
 
     def neg(self, a):
         return -a
@@ -84,11 +108,6 @@ class Rationals:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return Fraction(a) / b
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -103,14 +122,29 @@ class Rationals:
             return Fraction(rn, rd)
         return None
 
-    def parse(self, s: str) -> Fraction:
-        return Fraction(s)
+    def parse(self, s: str) -> tuple[int, int]:
+        """The value of s as (numerator, positive denominator) in lowest
+        terms.  Spellings other than "n" and "n/d" ("0.5", " 1e3") go
+        through ``Fraction``, which also raises the errors."""
+        m = _RATIO.fullmatch(s)
+        if m:
+            sign, num, den = m.groups()
+            n, d = int(num), int(den or 1)
+            if d:
+                g = gcd(n, d)
+                return (-n if sign == "-" else n) // g, d // g
+        value = Fraction(s)
+        return value.numerator, value.denominator
 
-    def format(self, a) -> str:
-        a = Fraction(a)
-        if a.denominator == 1:
-            return str(a.numerator)
-        return f"{a.numerator}/{a.denominator}"
+    def format(self, num, den: int = 1) -> str:
+        """num / den as "n" or "n/d" in lowest terms, for den > 0; with
+        den = 1, num may be any element."""
+        if den != 1:
+            g = gcd(num, den)
+            num, den = num // g, den // g
+            if den != 1:
+                return f"{num}/{den}"
+        return str(num)
 
 
 class PrimeField:
@@ -151,17 +185,20 @@ class PrimeField:
             return value.numerator * pow(value.denominator, -1, self.p) % self.p
         return int(value) % self.p
 
+    def ratio(self, value) -> tuple[int, int]:
+        """(residue, 1) of a value that ``coerce`` accepts."""
+        return self.coerce(value), 1
+
+    def normalize(self, nums, den: int) -> tuple[tuple, int]:
+        """The form nums / den as (residues, 1)."""
+        p = self.p
+        if den == 1:
+            return tuple([n % p for n in nums]), 1
+        inv = self.inv(den)
+        return tuple([n * inv % p for n in nums]), 1
+
     def zero(self) -> int:
         return 0
-
-    def one(self) -> int:
-        return 1
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
 
     def neg(self, a):
         return -a % self.p
@@ -170,9 +207,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
@@ -224,17 +258,52 @@ class PrimeField:
             m = i
         return r
 
-    def parse(self, s: str) -> int:
+    def parse(self, s: str) -> tuple[int, int]:
+        """The value of "n" or "n/d" as (residue, 1)."""
         if "/" in s:
             num, den = s.split("/")
-            return self.div(int(num) % self.p, int(den) % self.p)
-        return int(s) % self.p
+            return int(num) * self.inv(int(den)) % self.p, 1
+        return int(s) % self.p, 1
 
-    def format(self, a) -> str:
-        return str(a % self.p)
+    def format(self, num, den: int = 1) -> str:
+        return str(num * self.inv(den) % self.p if den != 1 else num % self.p)
 
 
 QQ = Rationals()
+
+
+class Integers:
+    """The ring Z, a coefficient tag for ``UniPoly`` and nothing else.
+
+    By Gauss's lemma a square root over Q comes down to one in Z[x] of a
+    primitive part (``binform.perfect_square_root``), where
+    ``poly.perfect_square_root`` runs with exact division in place of an
+    inverse.  Elements are ``int`` values."""
+
+    def __repr__(self):
+        return "ZZ"
+
+    def __eq__(self, other):
+        return isinstance(other, Integers)
+
+    def __hash__(self):
+        return hash("Z")
+
+    def coerce(self, value) -> int:
+        return index(value)
+
+    def is_zero(self, a) -> bool:
+        return a == 0
+
+    def sqrt(self, a):
+        """The non-negative square root of a, or None."""
+        if a < 0:
+            return None
+        r = isqrt(a)
+        return r if r * r == a else None
+
+
+ZZ = Integers()
 
 
 def field_from_json(obj: dict, where: str = "field"):

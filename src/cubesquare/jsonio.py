@@ -75,7 +75,7 @@ def form_to_json(f: BinForm) -> dict:
     return {
         "degree": f.degree,
         "field": field_to_json(f.field),
-        "coeffs": [f.field.format(c) for c in f.coeffs],
+        "coeffs": [f.field.format(n, f.den) for n in f.nums],
     }
 
 
@@ -86,10 +86,10 @@ def form_from_json(obj: dict, where: str = "form") -> BinForm:
     if not isinstance(raw, list) or len(raw) != degree + 1:
         raise SchemaError(f"{where}.coeffs: need {degree + 1} entries")
     try:
-        coeffs = [field.parse(str(c)) for c in raw]
+        ratios = [field.parse(str(c)) for c in raw]
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"{where}.coeffs: {exc}") from exc
-    return BinForm(field, degree, coeffs)
+    return BinForm.from_ratios(field, degree, ratios)
 
 
 def family_to_json(fam) -> dict:

@@ -1,12 +1,13 @@
 """Dense univariate polynomials over an exact field, and the coefficient
 arithmetic that ``UniPoly`` and ``binform.BinForm`` share.
 
-``add``, ``convolve`` and ``power`` work on raw coefficient sequences: they
-use only ``+`` and ``*`` of the coefficients and never reduce, so over F_p
-their results are integers in the right residue class, not always in [0, p).
-Both classes reduce once per output coefficient, when their constructor
-coerces it into the field.  A convolution is blind to the direction of the
-sequences, so it serves ascending ``UniPoly`` and descending ``BinForm``
+``convolve`` and ``power`` work on raw coefficient sequences: they use only
+``+`` and ``*`` of the coefficients and never reduce, so over F_p their
+results are integers in the right residue class, not always in [0, p).
+``UniPoly`` reduces once per output coefficient, when its constructor
+coerces it into the field; ``BinForm`` runs them on its integer numerators
+and normalizes once per form.  A convolution is blind to the direction of
+the sequences, so it serves ascending ``UniPoly`` and descending ``BinForm``
 coefficients alike.
 
 ``UniPoly`` stores ascending coefficients with trailing zeros trimmed.
@@ -29,21 +30,11 @@ from __future__ import annotations
 import random
 from operator import mul
 
-from .fields import PrimeField, same_field
+from .fields import ZZ, PrimeField, same_field
 
 
 class PolyError(ValueError):
     pass
-
-
-def add(a, b):
-    """Coefficientwise a + b; the shorter sequence is padded at its end."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
 
 
 def convolve(a, b):
@@ -124,7 +115,13 @@ class UniPoly:
         return "UniPoly(" + " + ".join(terms) + ")"
 
     def __add__(self, other):
-        return UniPoly(same_field(self.field, other.field), add(self.coeffs, other.coeffs))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return UniPoly(same_field(self.field, other.field), out)
 
     def __neg__(self):
         return UniPoly(self.field, [-c for c in self.coeffs])
@@ -222,7 +219,7 @@ def discriminant(f: UniPoly):
     if fp.is_zero:
         return F.zero()
     res = resultant(f, fp)
-    val = F.div(res, f.lc())
+    val = F.coerce(res * F.inv(f.lc()))
     if (n * (n - 1) // 2) % 2 == 1:
         val = F.neg(val)
     return val
@@ -245,8 +242,11 @@ def is_squarefree(f: UniPoly) -> bool:
 def perfect_square_root(f: UniPoly):
     """Return g with g*g == f exactly, or None.
 
-    Deterministic: lc(g) is the canonical square root of lc(f)
-    (non-negative over Q, the smaller residue over F_p).
+    The coefficients of g are matched from the top, each step dividing by
+    2 lc(g).  Over Z (``fields.ZZ``) the division is exact: a step that
+    leaves no integer proves that f is not the square of an integer
+    polynomial.  Deterministic: lc(g) is the canonical square root of lc(f)
+    (non-negative over Q and Z, the smaller residue over F_p).
     """
     if f.is_zero:
         raise PolyError("square-root of zero")
@@ -259,15 +259,20 @@ def perfect_square_root(f: UniPoly):
     if lead is None:
         return None
     # Match coefficients from the top: desc[j] of f against conv of g.
-    desc = list(reversed(f.coeffs))
-    gdesc = [lead] + [F.zero()] * k
-    inv2l = F.inv(F.mul(F.coerce(2), lead))
+    desc = f.coeffs[::-1]
+    gdesc = [lead]
+    two_lead = 2 * lead
+    inv = None if F == ZZ else F.inv(F.coerce(two_lead))
     for j in range(1, k + 1):
-        acc = desc[j]
-        for i in range(1, j):
-            acc = F.sub(acc, F.mul(gdesc[i], gdesc[j - i]))
-        gdesc[j] = F.mul(acc, inv2l)
-    g = UniPoly(F, list(reversed(gdesc)))
+        acc = desc[j] - sum(gdesc[i] * gdesc[j - i] for i in range(1, j))
+        if inv is None:
+            acc, rem = divmod(acc, two_lead)
+            if rem:
+                return None
+        else:
+            acc = F.coerce(acc * inv)
+        gdesc.append(acc)
+    g = UniPoly(F, gdesc[::-1])
     if g * g == f:
         return g
     return None

@@ -318,8 +318,12 @@ def s4_to_s6(p: Perm) -> Perm:
     return _induced(p, _TWO_SUBSETS)
 
 
-def forward(t: HurwitzTuple) -> tuple[HurwitzTuple, HurwitzTuple]:
+def forward(t: HurwitzTuple, genera: bool = False):
     """Quadruple cover -> (triple cover, its unramified double cover).
+
+    With ``genera``, the result also holds (g_C, g_S), the genera of the two
+    images that the etale check below computes, so that a caller reporting
+    them does not count their cycles again.
 
     Input entries must all be transpositions (simple branching) and the
     tuple transitive; those are input errors (MonodromyError).  A transitive
@@ -349,7 +353,7 @@ def forward(t: HurwitzTuple) -> tuple[HurwitzTuple, HurwitzTuple]:
     g_c, g_s = rh_genus(triple), rh_genus(sextic)
     if 2 - 2 * g_s != 2 * (2 - 2 * g_c):
         raise ArithmeticError("double cover is not etale (Euler characteristic)")
-    return triple, sextic
+    return (triple, sextic, (g_c, g_s)) if genera else (triple, sextic)
 
 
 def reverse(triple: HurwitzTuple, lift: HurwitzTuple) -> HurwitzTuple:

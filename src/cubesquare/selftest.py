@@ -341,9 +341,9 @@ def criterion_registry():
     covers = census["odd_classes"] + census["even_classes"]
     weyl = e8.weyl_order()
     checks = {
-        "deg_Z": reg["deg_Z"]["value"] == 3762,
-        "covering_degrees": reg["covering_degrees"]["value"] == {"C": 120, "D": 135},
-        "clebsch": reg["clebsch_sextic"]["value"] == 40,
+        # The covering degrees are the census's odd and even classes.
+        "covering_degrees": reg["covering_degrees"]["value"]
+        == {"C": census["odd_classes"], "D": census["even_classes"]},
         "provenance_strings": all(
             isinstance(v["provenance"], str) and len(v["provenance"]) > 20
             for v in reg.values()
@@ -356,7 +356,9 @@ def criterion_registry():
         "shadow_weyl_quotient": weyl == reg["weyl"]["value"]
         and weyl // (math.factorial(8) * 2**7) == 135,
     }
-    return all(checks.values()), {"checks": checks}
+    # Nothing here computes these two, so they are reported, not checked.
+    documented = {name: reg[name]["value"] for name in ("deg_Z", "clebsch_sextic")}
+    return all(checks.values()), {"checks": checks, "documented": documented}
 
 
 def run_all(trials: int | None = None, seed: int = 1):

@@ -1,12 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from cubesquare import binform
+from cubesquare import binform, fibration
+from cubesquare import poly as upoly
 from cubesquare.binform import BinForm
 from cubesquare.fields import QQ, PrimeField
-from cubesquare.poly import PolyError
+from cubesquare.poly import PolyError, UniPoly
 from test_cli import _counting
 
 F5 = PrimeField(5)
@@ -43,7 +45,7 @@ def test_multiplication_degrees_add():
     g = BinForm(QQ, 3, [0, 2, 0, 5])
     assert (f * g).degree == 5
     for x, y in [(1, 1), (2, 3), (-1, 4)]:
-        assert (f * g)(x, y) == QQ.mul(f(x, y), g(x, y))
+        assert (f * g)(x, y) == f(x, y) * g(x, y)
 
 
 def test_divexact():
@@ -164,3 +166,211 @@ def test_squarefree_certificate_agrees_with_the_exact_test(monkeypatch):
     assert [binform.is_squarefree(f) for f in forms] == reference
     # Every squarefree form is certified mod P; only the others fall back.
     assert len(_over_q(calls)) == reference.count(False)
+
+
+# ---------------------------------------------------------------------------
+# The integer numerators over Q against Fraction references: sums, products,
+# scalings and powers over Fraction tuples, UniPoly.divmod for the exact
+# division, and the Fraction coefficients of the section equation.
+
+CERT = PrimeField(P)
+
+
+def _ref_form(rng, degree):
+    """Fraction coefficients of a random Q form: mixed denominators, negative
+    and zero coefficients, a random power of y (leading zeros) and, now and
+    then, the zero form."""
+    if rng.random() < 0.05:
+        return (Fraction(0),) * (degree + 1)
+    cs = [Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 4, 6, 9, 12, 35])) for _ in range(degree + 1)]
+    for i in range(rng.randint(0, degree) if rng.random() < 0.3 else 0):
+        cs[i] = Fraction(0)
+    if rng.random() < 0.2:
+        cs[-1] = Fraction(0)
+    return tuple(cs)
+
+
+def _ref_add(a, b, sign=1):
+    return tuple(x + sign * y for x, y in zip(a, b))
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _ref_pow(a, n):
+    out = (Fraction(1),)
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_divexact(a, b):
+    """The quotient of the descending Fraction tuples a by b as forms of
+    degree len(a) - len(b), by UniPoly.divmod on the affine charts, or None."""
+    d = len(a) - len(b)
+    if not any(a):
+        return (Fraction(0),) * (max(d, 0) + 1)
+    m_a = next(i for i, c in enumerate(a) if c)
+    m_b = next(i for i, c in enumerate(b) if c)
+    if m_a < m_b:
+        return None
+    q, r = UniPoly(QQ, a[::-1]).divmod(UniPoly(QQ, b[::-1]))
+    if not r.is_zero or q.degree > d:
+        return None
+    return tuple(reversed(q.coeffs + (Fraction(0),) * (d + 1 - len(q.coeffs))))
+
+
+def _form(cs):
+    return BinForm(QQ, len(cs) - 1, cs)
+
+
+def test_integer_arithmetic_matches_fraction_tuples():
+    rng = random.Random(27)
+    for _ in range(300):
+        da, db = rng.randint(0, 6), rng.randint(0, 6)
+        a, b, c = _ref_form(rng, da), _ref_form(rng, db), _ref_form(rng, da)
+        fa, fb, fc = _form(a), _form(b), _form(c)
+        assert fa.coeffs == a
+        assert (fa + fc).coeffs == _ref_add(a, c)
+        assert (fa - fc).coeffs == _ref_add(a, c, -1)
+        assert (-fa).coeffs == tuple(-x for x in a)
+        assert (fa * fb).coeffs == _ref_mul(a, b)
+        n = rng.randint(0, 3)
+        assert (fa**n).coeffs == _ref_pow(a, n)
+        k = Fraction(rng.randint(-20, 20), rng.randint(1, 20))
+        assert fa.scale(k).coeffs == tuple(k * x for x in a)
+        assert fa.scale(k.numerator, k.denominator) == fa.scale(k)
+        assert (fa * fb)(3, -2) == fa(3, -2) * fb(3, -2)
+
+
+def test_one_value_has_one_representation():
+    rng = random.Random(28)
+    for _ in range(300):
+        a = _ref_form(rng, rng.randint(0, 6))
+        f = _form(a)
+        k = rng.randint(1, 50)
+        # The same values from unreduced numerators, from (num, den) pairs in
+        # other terms and from a sum that cancels.
+        same = [
+            BinForm.from_numerators(QQ, f.degree, [n * k for n in f.nums], f.den * k),
+            BinForm.from_numerators(QQ, f.degree, [-n * k for n in f.nums], -f.den * k),
+            BinForm.from_ratios(QQ, f.degree, [(c.numerator * k, c.denominator * k) for c in a]),
+            (f + f) - f,
+            f.scale(Fraction(2 * k, 4 * k)).scale(2),
+        ]
+        for g in same:
+            assert g == f and hash(g) == hash(f)
+            assert (g.nums, g.den) == (f.nums, f.den)
+        assert f.den > 0 and math.gcd(f.den, *f.nums) == 1
+    half = BinForm(QQ, 1, [Fraction(2, 4), 0])
+    assert half == BinForm(QQ, 1, [Fraction(1, 2), 0]) == BinForm.from_ratios(QQ, 1, [(1, 2), (0, 1)])
+    assert hash(half) == hash(BinForm(QQ, 1, ["1/2", 0]))
+    assert BinForm.zero(QQ, 3) == BinForm(QQ, 3, [Fraction(0, 7)] * 4)
+    assert BinForm.zero(QQ, 3).den == 1
+
+
+def test_divexact_matches_unipoly_divmod():
+    rng = random.Random(29)
+    divisible = 0
+    for i in range(400):
+        b = _ref_form(rng, rng.randint(0, 5))
+        if not any(b):
+            continue
+        if i % 2:  # a planted multiple of b, with a content and denominators
+            a = _ref_mul(b, _ref_form(rng, rng.randint(0, 5)))
+        else:  # a random pair, almost never divisible
+            a = _ref_form(rng, rng.randint(0, 9))
+        expected = _ref_divexact(a, b)
+        if expected is None:
+            with pytest.raises(PolyError):
+                _form(a).divexact(_form(b))
+        else:
+            divisible += 1
+            assert _form(a).divexact(_form(b)).coeffs == expected
+    assert 150 < divisible < 400
+    # Contents that the long division must divide out: 6x^2 - 6 by 4x + 4.
+    assert BinForm(QQ, 2, [6, 0, -6]).divexact(BinForm(QQ, 1, [4, 4])) == BinForm(
+        QQ, 1, [Fraction(3, 2), Fraction(-3, 2)]
+    )
+    # Not divisible over Q, though the leading coefficients divide: x^2 + 1 by 2x + 1.
+    with pytest.raises(PolyError):
+        BinForm(QQ, 2, [1, 0, 1]).divexact(BinForm(QQ, 1, [2, 1]))
+
+
+def test_perfect_square_root_matches_the_fraction_root():
+    rng = random.Random(30)
+    squares = 0
+    for i in range(300):
+        g = _ref_form(rng, rng.randint(0, 4))
+        if not any(g):
+            continue
+        f = _ref_mul(g, g) if i % 2 else _ref_form(rng, 2 * rng.randint(0, 4))
+        if not any(f):
+            continue
+        m = next(i for i, c in enumerate(f) if c)  # the multiplicity at (1:0)
+        expected = None if m % 2 else upoly.perfect_square_root(UniPoly(QQ, f[::-1]))
+        root = binform.perfect_square_root(_form(f))
+        if expected is None:
+            assert root is None
+        else:
+            squares += 1
+            assert root is not None and (root * root).coeffs == f
+            assert root.dehomogenize() == expected
+    assert squares > 100
+    # The content c / den must be a rational square: (x + y)^2 times 9/4,
+    # 3/4, 1/8 and -1.
+    xy2 = BinForm(QQ, 2, [1, 2, 1])
+    assert binform.perfect_square_root(xy2.scale(9, 4)) == BinForm(QQ, 1, [Fraction(3, 2)] * 2)
+    for k in (Fraction(3, 4), Fraction(1, 8), -1):
+        assert binform.perfect_square_root(xy2.scale(k)) is None
+
+
+def test_verify_section_matches_the_fraction_equation():
+    rng = random.Random(31)
+    seen = set()
+    for i in range(200):
+        a = _ref_form(rng, 4)
+        p, y = _ref_form(rng, 2), _ref_form(rng, 3)
+        d = Fraction(rng.randint(1, 9) * rng.choice([-1, 1]), rng.randint(1, 9))
+        if not any(y):
+            continue
+        # b from the equation y^2 = p^3 + a p d^4 + b d^6, spoiled in odd rounds.
+        lhs = _ref_mul(y, y)
+        without_b = _ref_add(_ref_pow(p, 3), tuple(c * d**4 for c in _ref_mul(a, p)))
+        b = tuple(c / d**6 for c in _ref_add(lhs, without_b, -1))
+        if i % 2:
+            b = b[:-1] + (b[-1] + Fraction(1, rng.randint(1, 5)),)
+        rhs = _ref_add(without_b, tuple(c * d**6 for c in b))
+        try:
+            w = fibration.WModel(_form(a), _form(b))
+        except fibration.FibrationError:
+            continue
+        s = fibration.Section(_form(p), BinForm.constant(QQ, d), _form(y))
+        assert fibration.verify_section(w, s) is (lhs == rhs)
+        seen.add(lhs == rhs)
+    assert seen == {True, False}
+
+
+def test_certificate_reduction_matches_the_fraction_coerce():
+    rng = random.Random(32)
+    raised = 0
+    for i in range(300):
+        cs = list(_ref_form(rng, rng.randint(0, 12)))
+        if i % 10 == 0:  # P in a denominator
+            cs[rng.randrange(len(cs))] = Fraction(rng.randint(1, 9), P * rng.randint(1, 3))
+        f = _form(cs)
+        try:
+            expected = tuple(CERT.coerce(c) for c in cs)
+        except ZeroDivisionError:
+            raised += 1
+            with pytest.raises(ZeroDivisionError):
+                BinForm.from_numerators(CERT, f.degree, f.nums, f.den)
+            assert binform._squarefree_mod_certificate_prime(f) is False
+            continue
+        assert BinForm.from_numerators(CERT, f.degree, f.nums, f.den).coeffs == expected
+    assert raised == 30

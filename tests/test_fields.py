@@ -47,9 +47,26 @@ def test_rational_arithmetic_and_sqrt():
     assert QQ.sqrt(Fraction(4, 9)) == Fraction(2, 3)
     assert QQ.sqrt(Fraction(2)) is None
     assert QQ.sqrt(Fraction(-4)) is None
-    assert QQ.parse("3/7") == Fraction(3, 7)
+    assert QQ.parse("3/7") == (3, 7)
     assert QQ.format(Fraction(-5, 3)) == "-5/3"
     assert QQ.format(Fraction(4)) == "4"
+
+
+def test_rational_parse_and_format_agree_with_fraction():
+    # "n" and "n/d" are read without a Fraction; any other spelling goes
+    # through Fraction, which also raises the errors.
+    spellings = ["0", "-0", "+7", "12/8", "-12/8", "0/5", "00012/0004", "10" * 30 + "/3",
+                 "0.5", " 3", "-1e3", "1_000", "3/-4", "1/0", "x", "", "1/2/3", "--1"]
+    for text in spellings:
+        try:
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)):
+                QQ.parse(text)
+            continue
+        assert QQ.parse(text) == (value.numerator, value.denominator), text
+    for num, den in [(0, 1), (6, 4), (-6, 4), (-5, 3), (7, 7), (10**30, 3)]:
+        assert QQ.format(num, den) == str(Fraction(num, den))
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009, 10007])
@@ -71,8 +88,8 @@ def test_prime_field_sqrt_canonical(p):
 
 def test_prime_field_parse_fraction_strings():
     F = PrimeField(13)
-    assert F.parse("1/2") == F.inv(2)
-    assert F.parse("-1") == 12
+    assert F.parse("1/2") == (F.inv(2), 1)
+    assert F.parse("-1") == (12, 1)
     with pytest.raises(ZeroDivisionError):
         F.coerce(Fraction(1, 13))
 

@@ -5,7 +5,7 @@ import pytest
 
 from cubesquare import poly as upoly
 from cubesquare.binform import CERTIFICATE_PRIME, BinForm
-from cubesquare.fields import QQ, PrimeField
+from cubesquare.fields import QQ, ZZ, PrimeField
 from cubesquare.poly import (
     PolyError,
     UniPoly,
@@ -39,12 +39,12 @@ def from_roots(field, roots, lc=1):
 def brute_resultant(f, g, roots_of_f, lc_f):
     """lc(f)^deg(g) * prod g(root): the definition, usable when f factors."""
     F = f.field
-    acc = F.one()
+    acc = 1
     for r in roots_of_f:
-        acc = F.mul(acc, g(r))
+        acc *= g(r)
     for _ in range(g.degree):
-        acc = F.mul(acc, F.coerce(lc_f))
-    return acc
+        acc *= lc_f
+    return F.coerce(acc)
 
 
 def test_resultant_linear_examples():
@@ -182,6 +182,49 @@ def test_perfect_square_root_canonical_leading():
     assert g.lc() == 2
     h = perfect_square_root(poly(QQ, 0, 0, 9))
     assert h.lc() == 3
+
+
+def test_square_root_over_z_matches_the_fraction_root():
+    # Over Z each matching step divides exactly.  A square in Q[x] of an
+    # integer polynomial has an integer root, so on integer polynomials the
+    # root over Z must be the Fraction root, and None exactly when it is.
+    rng = random.Random(33)
+    squares = 0
+    for i in range(400):
+        g = [rng.randint(-60, 60) for _ in range(rng.randint(1, 6))]
+        g[-1] = g[-1] or 1
+        if i % 2:
+            f = upoly.convolve(g, g)
+            if i % 3 == 0:  # spoil one coefficient
+                f[rng.randrange(len(f))] += rng.choice([-1, 1, 2])
+        else:
+            f = [rng.randint(-3600, 3600) for _ in range(2 * len(g) - 1)]
+            f[-1] = rng.choice([1, 4, 9, 2, -4])
+        if not f[-1]:
+            continue
+        over_z = perfect_square_root(UniPoly(ZZ, f))
+        over_q = perfect_square_root(UniPoly(QQ, f))
+        if over_q is None:
+            assert over_z is None
+        else:
+            squares += 1
+            assert over_z is not None and over_z.coeffs == over_q.coeffs
+            assert all(type(c) is int for c in over_z.coeffs)
+    assert squares > 100
+    # x^2 + x + 1 stops at the first step, where 2 lc(g) = 2 does not divide
+    # the coefficient 1 of x; 4x^2 + 4x + 1 = (2x + 1)^2.
+    assert perfect_square_root(poly(ZZ, 1, 1, 1)) is None
+    assert perfect_square_root(poly(ZZ, 1, 4, 4)) == poly(ZZ, 1, 2)
+    assert perfect_square_root(poly(ZZ, 1, 0, -1)) is None  # negative lead
+
+
+def test_integer_ring_tags_integer_polynomials():
+    assert [ZZ.sqrt(a) for a in (0, 1, 49, 10**40, 10**40 + 1, 2, -4)] == [
+        0, 1, 7, 10**20, None, None, None,
+    ]
+    assert ZZ.coerce(True) == 1 and ZZ != QQ and ZZ == type(ZZ)()
+    with pytest.raises(TypeError):
+        UniPoly(ZZ, [Fraction(1, 2)])
 
 
 def test_distinct_root_count_examples():

@@ -57,8 +57,9 @@ KEPT = {
     "recillas._moved": "runs at import: builds the induced-action tables; the reference the tests compare them with",
     "recillas._action": "runs at import: tabulates each set system's induced action once",
     "families.BPoint.is_valid": "test oracle: checks the nodal verdict of fibration-info",
-    "families.u_invariants_quartic": "reference: the Fraction route to delta12_quartic's integer covariants",
-    "families.u_invariants_cubic": "reference: the Fraction route to delta12_cubic's integer covariants",
+    "families.u_invariants_quartic": "reference: the unweighted covariants, with coefficients 1/3, 8/3 and 2/27, of delta12_quartic's integer weighting",
+    "families.u_invariants_cubic": "reference: the unweighted covariants, with coefficients 1/3 and 2/27, of delta12_cubic's integer weighting",
+    "fields.Rationals.sqrt": "reference: the leading coefficient of poly.perfect_square_root over Q, the Fraction root that binform's root over Z is compared with",
     "picard.reflect": "input builder: Weyl-moved octuples for the reconstruct_e0 tests",
     "picard.DivClass.scale": "input builder: multiples of classes for the picard tests",
     "binform.BinForm.monomial": "input builder: monomial forms for the tests",

@@ -8,11 +8,19 @@ workloads, and compares one sha256 per workload over (command, exit code,
 stdout) of each request with the digest pinned here.  Reports carry a digest
 of the input documents, not their paths, so the work directory does not
 matter.  ``perfbench/`` is only read.
+
+The same replay of ``fibration-q`` counts the ``Fraction`` values each
+request builds, a work metric counted from the work done: an exact algebra
+on integer numerators builds at most one per coefficient it reads or
+writes, while rational arithmetic builds one per product.
 """
 
 import contextlib
 import hashlib
 import io
+import json
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -56,3 +64,59 @@ def test_seed_1_reports_are_byte_identical(workload, tmp_path, monkeypatch):
             digest.update(part.encode())
             digest.update(b"\x00")
     assert (len(specs), digest.hexdigest()) == PINNED[workload]
+
+
+def _coefficients(doc):
+    """The number of form coefficients in a JSON document: the entries of
+    its "coeffs" lists."""
+    if isinstance(doc, dict):
+        return sum(
+            len(v) if k == "coeffs" and isinstance(v, list) else _coefficients(v)
+            for k, v in doc.items()
+        )
+    if isinstance(doc, list):
+        return sum(_coefficients(v) for v in doc)
+    return 0
+
+
+def _fraction_constructors():
+    """The code objects that build a Fraction: ``__new__``, and from Python
+    3.12 on the ``_from_coprime_ints`` that arithmetic results go through."""
+    codes = {Fraction.__new__.__code__}
+    if hasattr(Fraction, "_from_coprime_ints"):
+        codes.add(Fraction._from_coprime_ints.__func__.__code__)
+    return codes
+
+
+def test_q_fibration_requests_build_a_fraction_per_coefficient_at_most(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    manifest = workloads.build_manifest("fibration-q", 1, str(tmp_path))
+    specs = [spec for k in range(BLOCKS) for spec in workloads.block(manifest, k)]
+    codes = _fraction_constructors()
+    built = 0
+
+    def hook(frame, event, arg):
+        nonlocal built
+        if event == "call" and frame.f_code in codes:
+            built += 1
+
+    over = []
+    for spec in specs:
+        built = 0
+        out = io.StringIO()
+        sys.setprofile(hook)
+        try:
+            with contextlib.redirect_stdout(out):
+                status = cli.main(spec["argv"])
+        finally:
+            sys.setprofile(None)
+        assert status == 0, spec["argv"]
+        with open(spec["argv"][-1], encoding="utf-8") as fh:
+            read = _coefficients(json.load(fh))
+        written = _coefficients(json.loads(out.getvalue()))
+        assert read and written
+        if built > read + written:
+            over.append((spec["argv"][0], built, read, written))
+    assert len(specs) == 50 and over == []
