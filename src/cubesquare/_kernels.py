@@ -30,33 +30,51 @@ index they feed.
   has t^2 coefficient -3 f1 - 2 b2 b3.  The pass evaluates at a third t for R
   anyway, so it interpolates S from the same three values.
 
-C0 depends on f0 alone, so the vectorised prefix pass keeps only the
-prefixes whose C0 is a nonzero square, about half of the q^d; a nonzero
-non-square C0 passes nothing on.  On those it builds C_m (m < d) and
-g_0..g_{d-1} once, then redoes the steps from index d on at t = 0, 1 (and 2
-when d = 2) and interpolates R and S.  Each prefix yields the 0, 1 or 2
-roots of R, or all q values of t when R vanishes identically, and of those
-only the values where S vanishes pass on.
+(w f)^3 = f^3 for every cube root of unity w, so the hits come in orbits
+{(f, g), (w f, g), (w^2 f, g)} with one g.  When q = 1 (mod 3) the scan
+takes f0 = 0 and, of each orbit {f0, w f0, w^2 f0} of nonzero values, the
+least; when q = 2 (mod 3) w = 1 and it takes every f0.  Only prefixes with a
+representative f0 are scanned, and each hit with f0 != 0 is expanded to its
+w-translates afterwards.  Rows with f0 = 0 are all scanned, since w fixes
+f0 = 0 and no finer choice is made there.
 
-The degenerate slice C0 = 0 (f0^3 = F0, at most three values of f0) is
-not interpolated.  A square cannot start at an odd index, so C1 = F1 -
-3 f0^2 f1 must vanish too: with f0 != 0 that fixes f1, and with f0 = 0 (so
-F0 = 0) the slice survives only when F1 = 0, with f1 free.  f2..fd stay
-free, which leaves (cube roots of F0) * q^(d-1) rows, or q^d when F0 = F1 =
-0 (y^2 divides F, which is then not squarefree).  These rows go to the full
-test as they are.
+C0 depends on f0 alone, so the vectorised prefix pass keeps only the
+representative prefixes whose C0 is a nonzero square; a nonzero non-square
+C0 passes nothing on.  On those it builds C_m (m < d) and g_0..g_{d-1}
+once, then redoes the steps from index d on at t = 0, 1 (and 2 when d = 2)
+and interpolates R and S.  Each prefix yields the 0, 1 or 2 roots of R, or
+all q values of t when R vanishes identically, and of those only the values
+where S vanishes pass on.
+
+The digit columns of the prefixes and the columns of p^2 and p^3 do not
+involve F.  ``_field_table`` builds them once per (q, d), over the q^(d-1)
+prefixes of each representative f0, in f0-major blocks; a request selects
+the blocks of the f0 whose C0 is a nonzero square and computes
+C_m = F_m - (p^3)_m from them.
+
+The degenerate slice C0 = 0 (f0^3 = F0, at most three values of f0, one of
+them representative) is not interpolated.  A square cannot start at an odd
+index, so C1 = F1 - 3 f0^2 f1 must vanish too: with f0 != 0 that fixes f1,
+and with f0 = 0 (so F0 = 0) the slice survives only when F1 = 0, with f1
+free.  f2..fd stay free, which leaves q^(d-1) rows for the representative
+cube root of a nonzero F0, or q^d when F0 = F1 = 0 (y^2 divides F, which
+is then not squarefree).  These rows go to the full test as they are.
 
 The elimination only prunes.  Every candidate goes through the full test,
 ``_verify``, which decides a hit exactly as the plain-Python
 ``_scan_python_reference`` does on every candidate; the tests compare the
 two.  It runs the same recurrence from the first nonzero coefficient C_2h
 of C, so coefficients up to gdeg + h hold by construction and only the
-residuals of gdeg + h + 1..3d are left to check.  The vectorised columns
-are int32; every intermediate stays below (3d/2 + 2) q^2, which
+residuals of gdeg + h + 1..3d are left to check.  The columns it computes
+on are int32 (the table stores residues in the smallest unsigned type that
+holds q - 1); every intermediate stays below (3d/2 + 2) q^2, which
 ``decompose_scan`` bounds.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,27 +206,68 @@ def _recurrence_residual(q: int, C, gam: list, m: int, h: int = 0):
     return _mod(acc, q)
 
 
-def _prefix_residuals(q: int, F: np.ndarray, d: int, table, inv):
-    """The prefixes f0..f_{d-1} on which C0 is a nonzero square, as indices
-    f0 + f1 q + ... + f_{d-1} q^(d-1), and on each the coefficients (a, b, c)
-    of R(t) = a + b t + c t^2 and of S(t), the residual of coefficient k + 1.
+class _FieldTable(NamedTuple):
+    """The part of the scan over F_q at degree d that does not involve F."""
 
-    C0 = F0 - f0^3 depends on f0 alone, so the prefixes kept are those whose
-    f0 makes it a nonzero square: about half of the q^d.  With p the prefix
-    and t = fd, f = p + t y^d and f^3 = p^3 + 3t y^d p^2 + 3t^2 y^(2d) p +
+    q: int
+    d: int
+    sqrt: np.ndarray  # sqrt_table(q)
+    inv: np.ndarray  # _inverse_table(q)
+    units: tuple  # the cube roots of unity other than 1: (w, w^2) or ()
+    reps: np.ndarray  # the representative values of f0, ascending
+    columns: np.ndarray  # (column, representative, prefix row) residues
+
+
+@lru_cache(maxsize=8)
+def _field_table(q: int, d: int) -> _FieldTable:
+    """The tables and prefix columns of the scan over F_q at degree d, built
+    once per (q, d) in one vectorised pass.
+
+    The representatives are f0 = 0 and the least value of each orbit
+    {f0, w f0, w^2 f0} of nonzero values, which is every f0 when q = 2
+    (mod 3).  For the q^(d-1) prefixes f0..f_(d-1) of each, in f0-major
+    blocks, ``columns`` holds the d digit columns, the columns of p^2 that
+    the prefix pass reads and the columns of p^3 below k + 2.  Every array
+    is read-only.
+    """
+    k = 3 * d // 2 + 1
+    units = tuple(w for w in range(2, q) if pow(w, 3, q) == 1)
+    reps = np.array([f0 for f0 in range(q) if all(f0 <= w * f0 % q for w in units)], dtype=np.int64)
+    rows = q ** (d - 1)
+    prefix = (reps[:, None] + q * np.arange(rows, dtype=np.int64)).ravel()
+    c = _digits(prefix, q, d)
+    s = _conv(q, c, c, 2 * d - 1)
+    columns = np.array(c + s[: k + 2 - d] + _conv(q, s, c, k + 2), dtype=np.min_scalar_type(q - 1))
+    tab = _FieldTable(q, d, sqrt_table(q), _inverse_table(q), units, reps, columns.reshape(-1, reps.size, rows))
+    for array in (tab.sqrt, tab.inv, tab.reps, tab.columns):
+        array.flags.writeable = False
+    return tab
+
+
+def _prefix_residuals(F: np.ndarray, tab: _FieldTable):
+    """The representative prefixes f0..f_{d-1} on which C0 is a nonzero
+    square, as indices f0 + f1 q + ... + f_{d-1} q^(d-1), and on each the
+    coefficients (a, b, c) of R(t) = a + b t + c t^2 and of S(t), the
+    residual of coefficient k + 1.
+
+    C0 = F0 - f0^3 depends on f0 alone, so the prefixes kept are the blocks
+    of the table whose f0 makes it a nonzero square.  With p the prefix and
+    t = fd, f = p + t y^d and f^3 = p^3 + 3t y^d p^2 + 3t^2 y^(2d) p +
     t^3 y^(3d), so C_m for m < d, and with it g_0..g_(d-1), does not involve
     t.  They are built once; only the steps from index d on are redone at
     t = 0, 1 (and 2 when d = 2).  The t^2 coefficient of S is known in
     closed form for d = 4 and is 0 for d >= 6 (see the module docstring).
     """
+    q, d = tab.q, tab.d
     k = 3 * d // 2 + 1
-    f0 = np.arange(q, dtype=np.int64)
-    c0 = (int(F[0]) - f0 * f0 % q * f0) % q
-    square = np.nonzero((c0 != 0) & (table[c0] >= 0))[0]
-    prefix = (square + q * np.arange(q ** (d - 1), dtype=np.int64)[:, None]).ravel()
-    c = _digits(prefix, q, d)
-    s = _conv(q, c, c, 2 * d - 1)
-    C = [_mod(int(F[m]) - x, q) for m, x in enumerate(_conv(q, s, c, k + 2))]
+    table, inv = tab.sqrt, tab.inv
+    c0 = (int(F[0]) - tab.reps**3) % q
+    keep = np.nonzero((c0 != 0) & (table[c0] >= 0))[0]
+    rows = tab.columns.shape[2]
+    prefix = (tab.reps[keep, None] + q * np.arange(rows, dtype=np.int64)).ravel()
+    cols = tab.columns[:, keep].reshape(len(tab.columns), -1).astype(np.int32)
+    c, s = cols[:d], cols[d : -(k + 2)]
+    C = _mod(F[: k + 2, None].astype(np.int32) - cols[-(k + 2) :], q)
     g0 = table[C[0]]
     inv2g0 = inv[_mod(2 * g0, q)]
     gam = [g0]
@@ -224,7 +283,7 @@ def _prefix_residuals(q: int, F: np.ndarray, d: int, table, inv):
 
     values = []
     for t in range(3 if d == 2 else 2):
-        Ct = C[:d] + [at(t, m) for m in range(d, k + 2)] if t else C
+        Ct = list(C[:d]) + [at(t, m) for m in range(d, k + 2)] if t else C
         g = gam[:]
         for i in range(d, k):
             g.append(_mod(_recurrence_residual(q, Ct[i], g, i) * inv2g0, q))
@@ -244,37 +303,40 @@ def _prefix_residuals(q: int, F: np.ndarray, d: int, table, inv):
     return prefix, (r0, _mod(r1 - r0 - rc, q), rc), (s0, _mod(s1 - s0 - sc, q), sc)
 
 
-def _slice_candidates(q: int, F: np.ndarray, d: int, inv) -> np.ndarray:
-    """Indices of the rows on the slice C0 = F0 - f0^3 = 0 with C1 = 0.
+def _slice_candidates(F: np.ndarray, tab: _FieldTable) -> np.ndarray:
+    """Indices of the rows on the slice C0 = F0 - f0^3 = 0 with C1 = 0 and
+    f0 representative.
 
     A square cannot start at an odd index, so C1 = F1 - 3 f0^2 f1 must vanish
     as well.  With f0 != 0 that fixes f1; with f0 = 0 (so F0 = 0) it asks
     F1 = 0 and then leaves f1 free.  f2..fd stay free, and every row goes to
     the full test.
     """
+    q, d = tab.q, tab.d
     parts = [np.zeros(0, dtype=np.int64)]
-    for f0 in range(q):
+    for f0 in tab.reps.tolist():
         if (f0**3 - int(F[0])) % q:
             continue
         if f0:
-            f1 = int(F[1]) * int(inv[3 * f0 * f0 % q]) % q
+            f1 = int(F[1]) * int(tab.inv[3 * f0 * f0 % q]) % q
             parts.append(f0 + q * f1 + q * q * np.arange(q ** (d - 1), dtype=np.int64))
         elif F[1] == 0:
             parts.append(q * np.arange(q**d, dtype=np.int64))
     return np.concatenate(parts)
 
 
-def _candidates(q: int, F: np.ndarray, d: int, table, inv) -> np.ndarray:
-    """Indices of the candidates f that survive the elimination of fd and
-    the test of the next coefficient."""
-    prefix, (a, b, c), (sa, sb, sc) = _prefix_residuals(q, F, d, table, inv)
+def _candidates(F: np.ndarray, tab: _FieldTable) -> np.ndarray:
+    """Indices of the candidates f with a representative f0 that survive the
+    elimination of fd and the test of the next coefficient."""
+    q, d, table, inv = tab.q, tab.d, tab.sqrt, tab.inv
+    prefix, (a, b, c), (sa, sb, sc) = _prefix_residuals(F, tab)
 
     def passing(rows, t):
         """prefix + q^d t at the rows where S(t) = 0 as well."""
         keep = _mod(sa[rows] + t * _mod(sb[rows] + t * sc[rows], q), q) == 0
         return prefix[rows[keep]] + q**d * t[keep].astype(np.int64)
 
-    parts = [_slice_candidates(q, F, d, inv)]
+    parts = [_slice_candidates(F, tab)]
     lin = np.nonzero((c == 0) & (b != 0))[0]
     parts.append(passing(lin, _mod(-a[lin] * inv[b[lin]], q)))
     quad = np.nonzero(c)[0]
@@ -289,7 +351,7 @@ def _candidates(q: int, F: np.ndarray, d: int, table, inv) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _verify(q: int, F: np.ndarray, d: int, idx: np.ndarray, table, inv):
+def _verify(F: np.ndarray, idx: np.ndarray, tab: _FieldTable):
     """The (f, g) with g^2 = F - f^3 among the candidates with these indices.
 
     Where the first nonzero coefficient of C = F - f^3 is C_2h, g starts at
@@ -299,6 +361,7 @@ def _verify(q: int, F: np.ndarray, d: int, idx: np.ndarray, table, inv):
     coefficients gdeg + h + 1..3d are tested.  A first nonzero coefficient
     at an odd index, or one that is not a square, fails; C = 0 gives g = 0.
     """
+    q, d, table, inv = tab.q, tab.d, tab.sqrt, tab.inv
     n, gdeg = 3 * d + 1, 3 * d // 2
     c = _digits(idx, q, d + 1)
     C = _residual_columns(q, F, c, n)
@@ -338,6 +401,14 @@ def decompose_scan(q: int, F_desc, d: int, lo: int = 0, hi: int | None = None):
     the whole prefix pass.  Results are sorted.  q is a prime of at least 5,
     since the scan divides by 2 and by 3, and (3d/2 + 2) q^2 < 2^31, since
     its columns are int32.
+
+    The work, with the representatives f0 of ``_field_table``: the prefix
+    pass runs on #{representative f0 : F0 - f0^3 a nonzero square} *
+    q^(d-1) rows, and the slice on #{representative f0 != 0 : f0^3 = F0} *
+    q^(d-1) rows, plus q^d when F0 = F1 = 0.  Only the survivors of both
+    reach the full test, and of its hits each one with f0 != 0 stands for
+    its orbit under f -> w f, w^3 = 1: the translates are added before the
+    window [lo, hi) is applied, so shards stay exact.
     """
     if d < 2 or d % 2:
         raise ValueError("coefficient degree must be even and at least 2")
@@ -353,11 +424,22 @@ def decompose_scan(q: int, F_desc, d: int, lo: int = 0, hi: int | None = None):
     F = np.asarray([int(x) % q for x in F_desc], dtype=np.int64)
     if F.shape[0] != 3 * d + 1:
         raise ValueError("target form has the wrong degree")
-    table, inv = sqrt_table(q), _inverse_table(q)
-    idx = _candidates(q, F, d, table, inv)
-    idx = idx[(idx >= lo) & (idx < hi)]
+    tab = _field_table(q, d)
+    idx = _candidates(F, tab)
+    window = lo > 0 or hi < total
+    if window:
+        # Test each candidate that lies in the window or has a w-translate there.
+        digits = _digits(idx, q, d + 1)
+        meets = (idx >= lo) & (idx < hi)
+        for w in tab.units:
+            moved = sum(_mod(w * x, q).astype(np.int64) * q**i for i, x in enumerate(digits))
+            meets |= (moved >= lo) & (moved < hi)
+        idx = idx[meets]
     pairs = []
     for start in range(0, idx.size, _CHUNK):
-        pairs.extend(_verify(q, F, d, idx[start : start + _CHUNK], table, inv))
+        pairs.extend(_verify(F, idx[start : start + _CHUNK], tab))
+    pairs += [(tuple(w * x % q for x in f), g) for f, g in pairs if f[0] for w in tab.units]
+    if window:
+        pairs = [(f, g) for f, g in pairs if lo <= sum(x * q**i for i, x in enumerate(f)) < hi]
     pairs.sort()
     return pairs

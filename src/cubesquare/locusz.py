@@ -150,17 +150,22 @@ def decompose_fq(form: BinForm, jobs: int = 1) -> list[DecompositionOrbit]:
     """All cube-plus-square decompositions of a squarefree form of degree 12
     (q <= 13) or 6 (q <= 101) over F_q, as torus orbits.
 
-    Exhaustive over all q^(d+1) candidate f.  The scan keeps the prefixes
-    f0..f_{d-1} whose C0 = F0 - f0^3 is a nonzero square (about half of the
-    q^d), solves for the last coefficient on them and keeps only the values
-    that also satisfy the next coefficient of the square-root recurrence.
-    On the slice C0 = 0 only C1 = 0 is solved, and its rows pass on
-    unfiltered (see ``_kernels``).  Every survivor gets the full
-    perfect-square test.  With ``jobs`` > 1 the candidate range is split
-    over that many worker processes; the orbits do not depend on ``jobs``.  For sextics the
-    per-field orbit count is empirical data: a lower bound for the geometric
-    count of essentially different decompositions, never asserted to equal
-    any particular value.
+    Exhaustive over all q^(d+1) candidate f.  Since (w f)^3 = f^3 for
+    w^3 = 1, the scan takes, when q = 1 (mod 3), f0 = 0 and one f0 of each
+    orbit {f0, w f0, w^2 f0}, and expands each hit with f0 != 0 to its
+    w-translates; when q = 2 (mod 3) it takes every f0.  It keeps the
+    prefixes f0..f_{d-1} whose C0 = F0 - f0^3 is a nonzero square, reading
+    their columns from a table built once per (q, d), solves for the last
+    coefficient on them and keeps only the values that also satisfy the
+    next coefficient of the square-root recurrence.  On the slice C0 = 0
+    only C1 = 0 is solved, and its rows pass on unfiltered (see
+    ``_kernels``).  Every survivor gets the full perfect-square test.  With
+    ``jobs`` > 1 the candidate range is split over that many worker
+    processes, each of which expands its hits before it keeps those in its
+    range; the orbits do not depend on ``jobs``.  For sextics the per-field
+    orbit count is empirical data: a lower bound for the geometric count of
+    essentially different decompositions, never asserted to equal any
+    particular value.
     """
     field = form.field
     if not isinstance(field, PrimeField):

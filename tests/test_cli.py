@@ -148,6 +148,29 @@ def test_z_search_and_jobs_determinism(tmp_path, capsys):
     assert payload["orbit_count"] >= 1
 
 
+def test_z_search_jobs_2_at_f13_matches_jobs_1_and_the_full_hit_set(tmp_path, capsys):
+    # q = 13 = 1 (mod 3): each worker scans one f0 per orbit {f0, w f0, w^2 f0}
+    # and expands its hits before it keeps those in its half of the range.
+    from cubesquare import _kernels, jsonio, locusz
+    from cubesquare.binform import BinForm
+    from cubesquare.fields import PrimeField
+
+    F13 = PrimeField(13)
+    cert = locusz.plant(BinForm(F13, 4, [3, 1, 0, 5, 2]), BinForm(F13, 6, [1, 4, 0, 2, 7, 0, 6]))
+    path = _write(tmp_path, "F.json", jsonio.form_to_json(cert.form))
+    code1, out1 = run_cli(capsys, "z-search", "--F", path)
+    code2, out2 = run_cli(capsys, "z-search", "--F", path, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    # decompose_scan returns every hit, the w-translates included, one per
+    # (f, +-g) pair of the report.
+    hits = _kernels.decompose_scan(13, [int(c) for c in cert.form.coeffs], 4)
+    members = {(tuple(f), tuple(g)) for o in json.loads(out1)["payload"]["orbits"] for f, g in o["members"]}
+    assert {(f, min(g, tuple(-c % 13 for c in g))) for f, g in members} == set(hits)
+    assert (3, 1, 0, 5, 2) in {f for f, _ in hits}
+    assert {tuple(w * c % 13 for c in f) for f, _ in hits for w in (3, 9)} == {f for f, _ in hits}
+
+
 def test_z_search_validates_q_flag(tmp_path, capsys):
     F_doc = {
         "degree": 12,

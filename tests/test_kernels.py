@@ -40,6 +40,31 @@ def _index(q, f_desc):
     return sum(c * q**i for i, c in enumerate(f_desc))
 
 
+def _units(q):
+    """The cube roots of unity of F_q, 1 first."""
+    return [w for w in range(1, q) if pow(w, 3, q) == 1]
+
+
+def _translates(q, f_desc):
+    """f, w f and w^2 f, with repeats when q = 2 (mod 3) or f = 0."""
+    return [tuple(w * c % q for c in f_desc) for w in _units(q)]
+
+
+def _representative(q, f_desc):
+    """The translate w f that the scan tests: the one whose leading
+    coefficient is least, or f itself when f0 = 0, since every row with
+    f0 = 0 is scanned.  f itself when q = 2 (mod 3)."""
+    return tuple(f_desc) if not f_desc[0] else min(_translates(q, f_desc))
+
+
+def _is_representative(q, f0):
+    return f0 == min(w * f0 % q for w in _units(q))
+
+
+def _field(q, d):
+    return _kernels._field_table(q, d)
+
+
 def test_sqrt_table():
     for q in (5, 7, 11, 13):
         table = _kernels.sqrt_table(q)
@@ -74,12 +99,13 @@ def test_degenerate_leading_slice_matches_reference(q, d):
     assert hits == _reference(q, coeffs, d)
     assert tuple(f) in {fr for fr, _ in hits}
     # On the slice the full test needs C1 = F1 - 3 f0^2 f1 = 0 too, which
-    # fixes f1 for each (nonzero) cube root f0 of F0.
+    # fixes f1 for the one representative cube root f0 of F0; the plant's
+    # representative translate is among those rows.
     F = np.asarray(coeffs, dtype=np.int64)
-    idx = _kernels._candidates(q, F, d, _kernels.sqrt_table(q), _kernels._inverse_table(q))
+    idx = _kernels._candidates(F, _field(q, d))
     on_slice = idx[np.isin(idx % q, roots)]
-    assert on_slice.size <= len(roots) * q ** (d - 1)
-    assert _index(q, f) in set(on_slice.tolist())
+    assert on_slice.size == q ** (d - 1)
+    assert _index(q, _representative(q, f)) in set(on_slice.tolist())
 
 
 def _plant_unreduced(q, d, rng, f0, g0):
@@ -152,10 +178,13 @@ def test_prefix_pass_keeps_the_square_leading_residuals():
     rng = random.Random(6)
     _, form = _random_target(q, d, rng)
     F = np.asarray([int(c) for c in form.coeffs], dtype=np.int64)
-    table, inv = _kernels.sqrt_table(q), _kernels._inverse_table(q)
-    prefix, r, s = _kernels._prefix_residuals(q, F, d, table, inv)
+    table = _kernels.sqrt_table(q)
+    prefix, r, s = _kernels._prefix_residuals(F, _field(q, d))
     c0 = [(int(F[0]) - (p % q) ** 3) % q for p in range(q**d)]
-    assert sorted(prefix.tolist()) == [p for p in range(q**d) if c0[p] and table[c0[p]] >= 0]
+    kept = [p for p in range(q**d) if c0[p] and table[c0[p]] >= 0 and _is_representative(q, p % q)]
+    assert sorted(prefix.tolist()) == kept
+    # F_7 has the representatives 0, 1 and 3 of {0}, {1, 2, 4} and {3, 5, 6}.
+    assert {p % q for p in kept} <= {0, 1, 3}
     assert all(x.shape == prefix.shape for x in r + s)
 
 
@@ -166,8 +195,7 @@ def test_prefix_pass_residuals_match_the_plain_recurrence(q, d):
     rng = random.Random(q + d)
     _, form = _random_target(q, d, rng)
     coeffs = [int(c) for c in form.coeffs]
-    table, inv = _kernels.sqrt_table(q), _kernels._inverse_table(q)
-    prefix, r, s = _kernels._prefix_residuals(q, np.asarray(coeffs, dtype=np.int64), d, table, inv)
+    prefix, r, s = _kernels._prefix_residuals(np.asarray(coeffs, dtype=np.int64), _field(q, d))
     for row in rng.sample(range(prefix.size), min(40, prefix.size)):
         p = [int(prefix[row]) // q**i % q for i in range(d)]
         for t in range(q):
@@ -178,16 +206,16 @@ def test_prefix_pass_residuals_match_the_plain_recurrence(q, d):
 @pytest.mark.parametrize("q,d", [(11, 4), (13, 4), (7, 4), (13, 2), (101, 2)])
 def test_candidates_pass_the_next_coefficient_and_the_slice_restart(q, d):
     # Counted from _candidates: every candidate off the slice satisfies R and
-    # S, and the slice candidates are exactly its (cube roots of F0) *
-    # q^(d-1) rows with C0 = C1 = 0, passed on unfiltered.
+    # S, and the slice candidates are exactly the q^(d-1) rows with C0 = C1
+    # = 0 of the representative cube root of F0, passed on unfiltered.
     rng = random.Random(q * 7 + d)
     f, form = _plant(q, d, rng, leading_g=0)
     coeffs = [int(c) for c in form.coeffs]
-    table, inv = _kernels.sqrt_table(q), _kernels._inverse_table(q)
-    idx = _kernels._candidates(q, np.asarray(coeffs, dtype=np.int64), d, table, inv)
-    roots = [x for x in range(q) if pow(x, 3, q) == coeffs[0]]
+    idx = _kernels._candidates(np.asarray(coeffs, dtype=np.int64), _field(q, d))
+    roots = [x for x in range(q) if pow(x, 3, q) == coeffs[0] and _is_representative(q, x)]
+    assert len(roots) == 1
     on_slice = np.isin(idx % q, roots)
-    assert _index(q, f) in set(idx[on_slice].tolist())
+    assert _index(q, _representative(q, f)) in set(idx[on_slice].tolist())
     assert (~on_slice).sum() > 0
     for i in idx[~on_slice].tolist():
         fi = [i // q**j % q for j in range(d + 1)]
@@ -221,11 +249,10 @@ def test_full_test_on_every_index_matches_reference(q, d):
     # _verify on the whole space, not only on the pruned candidates: rows of
     # C that start at an odd index, at C_2h with h >= 1, or vanish (F = f^3).
     rng = random.Random(q * 31 + d)
-    table, inv = _kernels.sqrt_table(q), _kernels._inverse_table(q)
     idx = np.arange(q ** (d + 1), dtype=np.int64)
     leads = set()
     for coeffs in _full_space_targets(q, d, rng):
-        hits = _kernels._verify(q, np.asarray(coeffs, dtype=np.int64), d, idx, table, inv)
+        hits = _kernels._verify(np.asarray(coeffs, dtype=np.int64), idx, _field(q, d))
         assert sorted(hits) == _reference(q, coeffs, d)
         leads |= {next((h for h, x in enumerate(g) if x), None) for _, g in hits}
     assert None in leads and max(h for h in leads if h is not None) >= 1
@@ -255,8 +282,7 @@ def test_power_sum_target_matches_reference(q, d):
 def test_identically_vanishing_residual_matches_reference(q, d, coeffs):
     # On some prefixes with a nonzero square C0 the constraint R(t) is the zero
     # polynomial, so every value of the last coefficient goes to the full test.
-    table, inv = _kernels.sqrt_table(q), _kernels._inverse_table(q)
-    prefix, (a, b, c), _ = _kernels._prefix_residuals(q, np.asarray(coeffs, dtype=np.int64), d, table, inv)
+    prefix, (a, b, c), _ = _kernels._prefix_residuals(np.asarray(coeffs, dtype=np.int64), _field(q, d))
     vanishing = (a == 0) & (b == 0) & (c == 0)
     assert vanishing.any()
     assert _kernels.decompose_scan(q, coeffs, d) == _reference(q, coeffs, d)
@@ -272,13 +298,12 @@ def test_identically_vanishing_residual_matches_reference(q, d, coeffs):
 def test_identically_vanishing_next_residual_matches_reference(q, d, coeffs):
     # On some prefixes R(t) and S(t) are both the zero polynomial, so every
     # value of the last coefficient goes to the full test.
-    table, inv = _kernels.sqrt_table(q), _kernels._inverse_table(q)
-    prefix, r, s = _kernels._prefix_residuals(q, np.asarray(coeffs, dtype=np.int64), d, table, inv)
+    prefix, r, s = _kernels._prefix_residuals(np.asarray(coeffs, dtype=np.int64), _field(q, d))
     vanishing = np.nonzero(np.all([x == 0 for x in r + s], axis=0))[0]
     assert vanishing.size
     p = [int(prefix[vanishing[0]]) // q**i % q for i in range(d)]
     assert all(_tail_residuals(q, coeffs, p + [t], 0) == [0, 0] for t in range(q))
-    idx = set(_kernels._candidates(q, np.asarray(coeffs, dtype=np.int64), d, table, inv).tolist())
+    idx = set(_kernels._candidates(np.asarray(coeffs, dtype=np.int64), _field(q, d)).tolist())
     assert all(_index(q, p + [t]) in idx for t in range(q))
     assert _kernels.decompose_scan(q, coeffs, d) == _reference(q, coeffs, d)
 
@@ -369,3 +394,148 @@ def test_canonical_g_is_smaller_residue():
 
 def test_backend_flag_reported():
     assert _kernels.backend_name() == "numpy"
+
+
+def _targets_on_the_slice(q, d, rng):
+    """Forms whose leading coefficients the slice treats apart: F0 a nonzero
+    cube, F0 = 0 with F1 != 0, F0 = F1 = 0 (y^2 divides F), and, when
+    q = 1 (mod 3), a plant whose f0 is not its orbit's representative; each
+    with its plant f."""
+    f, form = _plant(q, d, rng, leading_g=0)
+    out = {"F0 a nonzero cube": (f, [int(c) for c in form.coeffs])}
+    f0, g0 = next((a, b) for a in range(1, q) for b in range(1, q) if (a**3 + b * b) % q == 0)
+    while True:
+        f, coeffs = _plant_unreduced(q, d, rng, f0, g0)
+        if coeffs[1]:
+            break
+    out["F0 = 0"] = (f, coeffs)
+    out["F0 = F1 = 0"] = _plant_unreduced(q, d, rng, 0, 0)
+    if q % 3 == 1:
+        f0 = next(x for x in range(1, q) if not _is_representative(q, x))
+        out["f0 not representative"] = _plant_unreduced(q, d, rng, f0, rng.randrange(1, q))
+    return out
+
+
+@pytest.mark.parametrize("q,d", [(7, 4), (13, 2), (7, 2)])
+def test_orbit_scan_matches_reference_on_the_slice_cases(q, d):
+    # One f0 per orbit {f0, w f0, w^2 f0} is scanned and each hit expanded:
+    # the whole hit set still equals the reference's, which tests every f.
+    rng = random.Random(q * 17 + d)
+    for case, (f, coeffs) in _targets_on_the_slice(q, d, rng).items():
+        hits = _kernels.decompose_scan(q, coeffs, d)
+        assert hits == _reference(q, coeffs, d), case
+        assert set(_translates(q, f)) <= {fr for fr, _ in hits}, case
+
+
+@pytest.mark.parametrize("q,d", [(13, 4)])
+def test_orbit_scan_matches_reference_in_windows_at_each_translate(q, d):
+    # The full reference at F_13, d = 4 tests 13^5 candidates; windows around
+    # the plant and each of its translates keep it fast.
+    rng = random.Random(q * 17 + d)
+    total = q ** (d + 1)
+    for case, (f, coeffs) in _targets_on_the_slice(q, d, rng).items():
+        for fr in _translates(q, f):
+            at = _index(q, fr)
+            lo, hi = max(0, at - 700), min(total, at + 700)
+            hits = _kernels.decompose_scan(q, coeffs, d, lo, hi)
+            assert hits == _reference(q, coeffs, d, lo, hi), case
+            assert fr in {x for x, _ in hits}, case
+
+
+@pytest.mark.parametrize("q,d", [(7, 4), (13, 4), (7, 2), (13, 2)])
+def test_windows_and_shards_separate_a_hit_from_its_translates(q, d):
+    # A window holding one translate of a hit returns that translate alone,
+    # and 3-way shards cut between the translates still add up to the scan.
+    rng = random.Random(q * 19 + d)
+    f, form = _plant(q, d, rng)
+    while not f[0]:
+        f, form = _plant(q, d, rng)
+    coeffs = [int(c) for c in form.coeffs]
+    full = _kernels.decompose_scan(q, coeffs, d)
+    at = sorted(_index(q, fr) for fr in _translates(q, f))
+    assert len(set(at)) == 3
+    for i in at:
+        window = _kernels.decompose_scan(q, coeffs, d, i, i + 1)
+        assert window == _reference(q, coeffs, d, i, i + 1) == [p for p in full if _index(q, p[0]) == i]
+        assert len(window) == 1
+    total = q ** (d + 1)
+    bounds = [0, at[1], at[2], total]
+    parts = [_kernels.decompose_scan(q, coeffs, d, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    assert [sum(_index(q, fr) == i for fr, _ in part) for part, i in zip(parts, at)] == [1, 1, 1]
+    assert sorted(p for part in parts for p in part) == full
+
+
+@pytest.mark.parametrize("q,d", [(7, 4), (13, 4), (7, 2), (13, 2), (19, 2)])
+def test_hit_sets_are_closed_under_cube_roots_of_unity(q, d):
+    # (w f)^3 = f^3, so (f, g) and (w f, g) are hits together.
+    rng = random.Random(q * 23 + d)
+    for trial in range(6):
+        _, form = _plant(q, d, rng, leading_g=0 if trial % 2 else None)
+        hits = set(_kernels.decompose_scan(q, [int(c) for c in form.coeffs], d))
+        assert hits
+        assert {(fr, g) for f, g in hits for fr in _translates(q, f)} == hits
+
+
+def _slice_rows(q, d, coeffs):
+    """Rows the slice passes on, by the formula: q^(d-1) per representative
+    nonzero cube root of F0, and q^d when F0 = F1 = 0."""
+    roots = [x for x in range(1, q) if pow(x, 3, q) == coeffs[0] % q and _is_representative(q, x)]
+    return len(roots) * q ** (d - 1) + (q**d if coeffs[0] % q == coeffs[1] % q == 0 else 0)
+
+
+@pytest.mark.parametrize("q,d", [(7, 4), (11, 4), (13, 4), (101, 2)])
+def test_scan_work_is_counted_by_its_formula(q, d):
+    # The prefix pass runs on #{representative f0 : F0 - f0^3 a nonzero
+    # square} * q^(d-1) rows, and the slice on the rows of _slice_rows;
+    # counted from what the passes return, on the four fields of the
+    # benchmark's z-search workload.
+    rng = random.Random(q * 29 + d)
+    table = _kernels.sqrt_table(q)
+    tab = _field(q, d)
+    forms = [[int(c) for c in _plant(q, d, rng, leading_g=g0)[1].coeffs] for g0 in (None, None, 0)]
+    forms += [coeffs for _, coeffs in _targets_on_the_slice(q, d, rng).values()]
+    for coeffs in forms:
+        F = np.asarray(coeffs, dtype=np.int64)
+        square = [
+            f0
+            for f0 in range(q)
+            if _is_representative(q, f0) and (c0 := (coeffs[0] - f0**3) % q) and table[c0] >= 0
+        ]
+        prefix, _, _ = _kernels._prefix_residuals(F, tab)
+        assert prefix.size == len(square) * q ** (d - 1)
+        assert _kernels._slice_candidates(F, tab).size == _slice_rows(q, d, coeffs)
+    # f0 = 0 and a third of the nonzero f0 when q = 1 (mod 3), every f0 else.
+    assert tab.reps.size == 1 + ((q - 1) // 3 if q % 3 == 1 else q - 1)
+
+
+def test_field_table_matches_an_uncached_build():
+    for q, d in [(7, 4), (11, 4), (13, 2), (101, 2)]:
+        _kernels._field_table.cache_clear()
+        tab = _field(q, d)
+        assert tab is _field(q, d)
+        k = 3 * d // 2 + 1
+        reps = [f0 for f0 in range(q) if _is_representative(q, f0)]
+        assert tab.reps.tolist() == reps
+        assert tab.units == tuple(sorted(set(_units(q)) - {1}))
+        prefix = np.array([f0 + q * r for f0 in reps for r in range(q ** (d - 1))], dtype=np.int64)
+        c = _kernels._digits(prefix, q, d)
+        s = _kernels._conv(q, c, c, 2 * d - 1)
+        cube = _kernels._conv(q, s, c, k + 2)
+        expect = np.stack(c + s[: k + 2 - d] + cube).reshape(-1, len(reps), q ** (d - 1))
+        assert np.array_equal(tab.columns, expect)
+        assert np.array_equal(tab.sqrt, _kernels.sqrt_table(q))
+        assert np.array_equal(tab.inv, _kernels._inverse_table(q))
+
+
+def test_field_table_is_read_only():
+    tab = _field(7, 4)
+    for array in (tab.sqrt, tab.inv, tab.reps, tab.columns):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
+def test_workload_field_tables_fit_in_one_megabyte():
+    # The benchmark's z-search serves these four fields from one process;
+    # its peak_rss_mb bound is 5% of about 38 MB.
+    tabs = [_field(q, d) for q, d in [(7, 4), (11, 4), (13, 4), (101, 2)]]
+    assert sum(a.nbytes for t in tabs for a in (t.sqrt, t.inv, t.reps, t.columns)) <= 1 << 20
